@@ -22,10 +22,10 @@ import sys
 
 from . import __version__, closedform, experiments, lyapunov, oracle
 from .engine import CPDG, LOWER_BOUND, PENALISED, WAIT_AND_SEE
-from .graph import (DistributionError, GraphError, TreeCaps, build_finite,
-                    deterministic, geometric, load_edge_list, power_law,
-                    stretched_exponential, tabulated)
-from .kernels import KernelSpec, load_kernel_table
+from .graph import (DistributionError, GraphError, TreeCaps, deterministic,
+                    geometric, load_edge_list, power_law, stretched_exponential,
+                    tabulated)
+from .kernels import KernelError, KernelSpec, load_kernel_table
 
 SUBCOMMANDS = ("simulate", "star", "path", "phase", "edge-law", "oracle", "check")
 
@@ -150,11 +150,16 @@ _WEIGHT_SCHEMA = {
     "beta": (False, _num()),
 }
 
+# keys every subcommand accepts
+_COMMON = {
+    "seed": (False, _integer(0)),
+    "out": (False, _string()),
+    "threads": (False, _integer(1)),
+}
+
 _SCHEMAS = {
     "simulate": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "graph": (True, _GRAPH_SCHEMA),
         "kernel": (True, _KERNEL_SCHEMA),
         "lambda": (True, None),  # number or list, checked separately
@@ -166,9 +171,7 @@ _SCHEMAS = {
         "records": (False, _boolean),
     },
     "star": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "kernel": (True, _KERNEL_SCHEMA),
         "dist": (True, _DIST_SCHEMA),
         "n_values": (True, _int_list(1)),
@@ -179,9 +182,7 @@ _SCHEMAS = {
         "stability_only": (False, _boolean),
     },
     "path": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "kernel": (True, _KERNEL_SCHEMA),
         "r_values": (True, _int_list(1)),
         "degree": (True, _integer(1)),
@@ -190,9 +191,7 @@ _SCHEMAS = {
         "within_factor": (False, _num(0.0, strict_lo=True)),
     },
     "phase": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "alpha": (False, _num(0.0)),
         "alpha_values": (False, _num_list(0.0)),
         "sigma": (False, _num(0.0, 1.0)),
@@ -203,18 +202,14 @@ _SCHEMAS = {
         "offspring_min_one": (False, _boolean),
     },
     "edge-law": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "lambda": (True, _num(0.0, strict_lo=True)),
         "v": (True, _num(0.0, strict_lo=True)),
         "p": (True, _num(0.0, 1.0)),
         "tail_times": (False, _num_list(0.0)),
     },
     "oracle": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "graph": (True, _GRAPH_SCHEMA),
         "kernel": (True, _KERNEL_SCHEMA),
         "lambda": (True, _num(0.0)),
@@ -222,23 +217,13 @@ _SCHEMAS = {
         "init": (False, _int_list(0)),
     },
     "check": {
-        "seed": (False, _integer(0)),
-        "out": (False, _string()),
-        "threads": (False, _integer(1)),
+        **_COMMON,
         "graph": (True, _GRAPH_SCHEMA),
         "kernel": (True, _KERNEL_SCHEMA),
         "lambda": (False, _num(0.0)),
         "weight": (False, _WEIGHT_SCHEMA),
     },
 }
-
-_DEFAULTS = {
-    "seed": 0,
-    "threads": 1,
-    "sigma": 1.0, "kappa": 1.0, "eta": 0.0, "nu": 1.0,
-    "k0": None,  # distribution-specific
-}
-
 
 def _validate(block, schema, path, errors):
     if not isinstance(block, dict):
@@ -262,7 +247,7 @@ def _validate(block, schema, path, errors):
                 errors.append(f"{here}: {bad}")
 
 
-def _check_lambda(cfg, errors, required=True):
+def _check_lambda(cfg, errors):
     if "lambda" not in cfg:
         return
     lam = cfg["lambda"]
@@ -501,7 +486,7 @@ def dispatch(config: ExperimentConfig, out_dir: str | None = None,
     }[config.subcommand]
     try:
         failures, summary_rows, records, report = handler(config, stream)
-    except (ConfigError, GraphError, DistributionError,
+    except (ConfigError, GraphError, DistributionError, KernelError,
             closedform.ConditionError, experiments.ExperimentError) as exc:
         stream.write(f"error: {exc}\n")
         if out_dir:

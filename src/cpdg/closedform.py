@@ -142,6 +142,22 @@ def prune_envelope(kernel: KernelSpec, degree_bound: int):
     kappa1 = kernel.kappa * float(degree_bound) ** (-kernel.sigma * kernel.alpha)
     return kappa1, kernel.kappa, kernel.nu, kernel.nu
 
+
+def _relay_constants(kernel: KernelSpec, degree_bound: int, n, lam: float):
+    """(c_p, C_p(N), factor) of the star-to-star relay bound for stars of size n.
+
+    c_p = L^{(eta^0)-alpha}, C_p(N) = (kappa1/(kappa2 c_p) (N+1)^{(eta^0)-alpha})^2,
+    and factor = lam nu1 kappa1 c_p / (lam + lam nu1 + nu1 + 1) is the
+    per-generation transmission factor.
+    """
+    expo = min(kernel.eta, 0.0) - kernel.alpha
+    c_p = float(degree_bound) ** expo
+    kappa1, kappa2, nu1, _ = prune_envelope(kernel, degree_bound)
+    big_c_p = (kappa1 / (kappa2 * c_p) * (n + 1.0) ** expo) ** 2
+    factor = lam * nu1 * kappa1 * c_p / (lam + lam * nu1 + nu1 + 1.0)
+    return c_p, big_c_p, factor
+
+
 @dataclass(frozen=True)
 class PathBound:
     """Lower bound on infecting the far end of a path within 4r time units."""
@@ -181,11 +197,7 @@ def path_lower_bound(degrees, lam: float, kernel: KernelSpec,
     c_p = math.nan
     big_c_p = math.nan
     if n_star is not None and degree_bound is not None:
-        expo = min(kernel.eta, 0.0) - kernel.alpha
-        c_p = float(degree_bound) ** expo
-        kappa1, kappa2, nu1, _ = prune_envelope(kernel, degree_bound)
-        big_c_p = (kappa1 / (kappa2 * c_p) * (n_star + 1.0) ** expo) ** 2
-        factor = lam * nu1 * kappa1 * c_p / (lam + lam * nu1 + nu1 + 1.0)
+        c_p, big_c_p, factor = _relay_constants(kernel, degree_bound, n_star, lam)
         star_form = (1.0 - math.exp(-GAMMA)) * factor ** r * big_c_p
     return PathBound(r=r, probability=probability, per_edge=tuple(per_edge),
                      star_form=star_form, c_p=c_p, big_c_p=big_c_p)
@@ -268,6 +280,13 @@ def survival_functions(n: int, r: int, lam: float, kernel: KernelSpec,
                        universal_const: float = 1.0) -> SurvivalDisplays:
     """Evaluate R, F and b exactly (universal constant exposed, default 1)."""
     sc = star_constants(n, degree_bound, lam, kernel, dist, c=c)
+    return _survival(sc, r, kernel, universal_const)[0]
+
+
+def _survival(sc: StarConstants, r: int, kernel: KernelSpec, universal_const: float):
+    """The displays of star `sc` at relay depth r, with the C_p(N), factor and
+    relay tries floor(S / (8r + 4T)) they are built from."""
+    n, lam, degree_bound = sc.n, sc.lam, sc.degree_bound
     if not sc.local_ok:
         raise ConditionError(f"local survival needs (3/2) lam T < 1; lam T = {lam * sc.window:.4f}")
     T = sc.window
@@ -277,15 +296,11 @@ def survival_functions(n: int, r: int, lam: float, kernel: KernelSpec,
     depletion = 1.0 - (1.0 - universal_const * math.exp(-x)) * math.exp(-2.0 * T) * (1.0 - math.exp(-y))
     m_relay = math.floor(sc.delta * lam * T * npe)
     relay = (lam * m_relay * T / ((lam * m_relay + 1.0) * T + 1.0)) * (1.0 - math.exp(-GAMMA))
-    expo = min(kernel.eta, 0.0) - kernel.alpha
-    c_p = float(degree_bound) ** expo
-    kappa1, kappa2, nu1, _ = prune_envelope(kernel, degree_bound)
-    big_c_p = (kappa1 / (kappa2 * c_p) * (n + 1.0) ** expo) ** 2
-    factor = lam * nu1 * kappa1 * c_p / (lam + lam * nu1 + nu1 + 1.0)
+    _, big_c_p, factor = _relay_constants(kernel, degree_bound, n, lam)
     tries = math.floor(sc.survival_span / (8.0 * r + 4.0 * T))
     base = 1.0 - relay * big_c_p * factor ** r
     failure = base ** tries if tries > 0 else 1.0
-    return SurvivalDisplays(
+    displays = SurvivalDisplays(
         depletion_bound=depletion,
         transmission_failure=failure,
         relay_rate_bound=relay,
@@ -293,6 +308,7 @@ def survival_functions(n: int, r: int, lam: float, kernel: KernelSpec,
         kick_ok=sc.kick_ok,
         local_ok=sc.local_ok,
     )
+    return displays, big_c_p, factor, tries
 
 
 @dataclass(frozen=True)
@@ -330,14 +346,7 @@ def r_n_and_star_condition(n: int, lam: float, kernel: KernelSpec,
         raise ConditionError(f"P(offspring = {n}) = 0; cannot target stars of that size")
     sc = star_constants(n, degree_bound, lam, kernel, dist, c=good_c)
     r = relay_depth(sc.mu_pruned, c_h, n, pz)
-    disp = survival_functions(n, r, lam, kernel, dist, degree_bound,
-                              c=good_c, universal_const=universal_const)
-    expo = min(kernel.eta, 0.0) - kernel.alpha
-    c_p = float(degree_bound) ** expo
-    kappa1, kappa2, nu1, _ = prune_envelope(kernel, degree_bound)
-    big_c_p = (kappa1 / (kappa2 * c_p) * (n + 1.0) ** expo) ** 2
-    factor = lam * nu1 * kappa1 * c_p / (lam + lam * nu1 + nu1 + 1.0)
-    tries = math.floor(sc.survival_span / (8.0 * r + 4.0 * sc.window))
+    disp, big_c_p, factor, tries = _survival(sc, r, kernel, universal_const)
     lhs = tries * big_c_p
     denom = disp.relay_rate_bound * factor ** r
     rhs = 4.0 / denom if denom > 0.0 else math.inf

@@ -4,17 +4,22 @@ One simulation owns one replica. Edges are resolved lazily: an edge gets a
 state only when it first becomes adjacent to the infection (drawn from the
 stationary law), and an edge whose clocks went idle is advanced by the exact
 two-state transition law on reactivation. Recoveries use the memoryless
-property (one pending recovery per infected vertex).
+property (one pending recovery per infected vertex). Every runner keys an
+edge by its ``(min, max)`` vertex pair.
 
 Three families of runners live here:
 
 * ``Simulation`` / ``run_replica`` - the production path (single fast RNG).
 * ``KeyedSimulation`` - per-edge / per-vertex seeded streams with replayed
   activation, used to check that adaptive (lazy) activation and activating
-  everything at time zero give bit-identical trajectories.
+  everything at time zero (``_eager_setup``) give bit-identical trajectories.
 * coupled runners (``run_coupled``, ``run_coupled_lambda``,
-  ``run_waitandsee_dominating``) - two processes driven by one realization of
-  the shared event streams, with containment asserted after every event.
+  ``run_waitandsee_dominating``) - a lower and an upper process driven by one
+  realization of the streams ``_eager_setup`` builds. All three share one
+  event loop, ``_run_shared``, which renews the recovery, update and
+  infection clocks, applies the caps, asserts containment after every event
+  and builds both records; each runner supplies only its transmission rule
+  for an infection tick.
 """
 
 from __future__ import annotations
@@ -47,8 +52,6 @@ HORIZON = "horizon"
 CAP = "cap"
 TRUNCATED_TREE = "truncated_tree"
 TARGET = "target"  # a designated vertex was infected
-
-_KEY_SHIFT = 21  # vertex ids below 2^21; edge key = (min << SHIFT) | max
 
 
 @dataclass(frozen=True)
@@ -171,35 +174,41 @@ class Simulation:
         self._push(t - math.log(rng.random()), RECOVER, y, -1)
         self._activate_edges(y, t)
 
+    def _edge(self, x: int, y: int, key: tuple, t: float, catch_up: bool) -> list:
+        """Record of edge {x, y} at time t.
+
+        A new edge draws its state from the stationary law; with `catch_up`,
+        an edge without a pending update clock (always so in thinned mode) is
+        advanced to t by the exact two-state transition.
+        """
+        e = self.edges.get(key)
+        if e is None:
+            dx, dy = self.graph.degree(x), self.graph.degree(y)
+            p = p_value(self.kernel, dx, dy)
+            v = v_value(self.kernel, dx, dy)
+            is_open = (self._rng.random() < p) if self._has_bg else True
+            e = [is_open, t, False, False, p, v, self._edge_rate(p, v)]
+            self.edges[key] = e
+        elif catch_up and not e[_UP] and e[_TIME] < t:
+            e[_OPEN] = self._rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
+            e[_TIME] = t
+        return e
+
     def _activate_edges(self, x: int, t: float):
-        graph = self.graph
-        kernel = self.kernel
-        edges = self.edges
         rng = self._rng
         allowed = self._allowed
-        dx = graph.degree(x)
-        for y in graph.neighbors(x):
+        explicit = self._has_bg and not self._thinned
+        for y in self.graph.neighbors(x):
             if allowed is not None and y not in allowed:
                 continue
-            key = (x << _KEY_SHIFT | y) if x < y else (y << _KEY_SHIFT | x)
-            e = edges.get(key)
-            if e is None:
-                p = p_value(kernel, dx, graph.degree(y))
-                v = v_value(kernel, dx, graph.degree(y))
-                is_open = (rng.random() < p) if self._has_bg else True
-                e = [is_open, t, False, False, p, v, self._edge_rate(p, v)]
-                edges[key] = e
-            elif self._has_bg and not self._thinned and not e[_UP] and e[_TIME] < t:
-                # idle background: advance by the exact two-state transition
-                e[_OPEN] = rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
-                e[_TIME] = t
-            u, w = (x, y) if x < y else (y, x)
-            if self._has_bg and not self._thinned and not e[_UP]:
+            key = (x, y) if x < y else (y, x)
+            e = self._edge(x, y, key, t, explicit)
+            if explicit and not e[_UP]:
                 e[_UP] = True
-                self._push(t - math.log(rng.random()) / e[_V], UPDATE, u, w)
+                self._push(t - math.log(rng.random()) / e[_V], UPDATE, key[0], key[1])
             if e[_RATE] > 0.0 and not e[_INF]:
                 e[_INF] = True
-                self._push(t - math.log(rng.random()) / e[_RATE], INFECT, u, w)
+                self._push(t - math.log(rng.random()) / e[_RATE], INFECT, key[0], key[1])
 
     # -- public stepping ------------------------------------------------------
 
@@ -231,8 +240,7 @@ class Simulation:
         infected = self.infected
         if kind == INFECT:
             v = item[4]
-            key = u << _KEY_SHIFT | v
-            e = self.edges[key]
+            e = self.edges[(u, v)]
             ui = u in infected
             vi = v in infected
             if not (ui or vi):
@@ -270,7 +278,7 @@ class Simulation:
             return item
         # UPDATE: redraw the edge state
         v = item[4]
-        e = self.edges[u << _KEY_SHIFT | v]
+        e = self.edges[(u, v)]
         e[_OPEN] = self._rng.random() < e[_P]
         e[_TIME] = t
         if u in infected or v in infected:
@@ -287,20 +295,7 @@ class Simulation:
         """Open/closed state of edge {u, v} at time t (resolving lazily if needed)."""
         if not self._has_bg:
             return True
-        key = (u << _KEY_SHIFT | v) if u < v else (v << _KEY_SHIFT | u)
-        e = self.edges.get(key)
-        rng = self._rng
-        if e is None:
-            p = p_value(self.kernel, self.graph.degree(u), self.graph.degree(v))
-            vv = v_value(self.kernel, self.graph.degree(u), self.graph.degree(v))
-            is_open = rng.random() < p
-            self.edges[key] = [is_open, t, False, False, p, vv,
-                               self._edge_rate(p, vv)]
-            return is_open
-        if e[_TIME] < t and not (e[_UP] and not self._thinned):
-            e[_OPEN] = rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
-            e[_TIME] = t
-        return e[_OPEN]
+        return self._edge(u, v, (u, v) if u < v else (v, u), t, True)[_OPEN]
 
     def take_snapshot(self, t: float):
         """Record (t, infected frozenset, open-edge frozenset) for a finite graph."""
@@ -334,7 +329,7 @@ class Simulation:
                 if si >= len(snaps) or not queue or t_next >= horizon:
                     break
                 _, _, kind, u, v = heappop(queue)
-                e = self.edges[u << _KEY_SHIFT | v]
+                e = self.edges[(u, v)]
                 if kind == UPDATE:
                     e[_OPEN] = self._rng.random() < e[_P]
                     e[_TIME] = t_next
@@ -425,7 +420,7 @@ class WaitSeeSimulation:
         self._push(t - math.log(rng.random()), RECOVER, y, -1)
         dx = self.graph.degree(y)
         for z in self.graph.neighbors(y):
-            key = (y << _KEY_SHIFT | z) if y < z else (z << _KEY_SHIFT | y)
+            key = (y, z) if y < z else (z, y)
             e = self.edges.get(key)
             if e is None:
                 p = p_value(self.kernel, dx, self.graph.degree(z))
@@ -434,8 +429,7 @@ class WaitSeeSimulation:
                 self.edges[key] = e
             if not e[0] and not e[1] and self.lam * e[4] > 0.0:
                 e[1] = True
-                u, w = (y, z) if y < z else (z, y)
-                self._push(t - math.log(rng.random()) / (self.lam * e[4]), REVEAL, u, w)
+                self._push(t - math.log(rng.random()) / (self.lam * e[4]), REVEAL, key[0], key[1])
 
     def step(self):
         if self.done:
@@ -454,6 +448,10 @@ class WaitSeeSimulation:
             return None
         self.clock = t
         self.events += 1
+        if self.events > self.caps.max_events:
+            self.done = True
+            self.outcome = CAP
+            return None
         kind, u, v = item[2], item[3], item[4]
         rng = self._rng
         infected = self.infected
@@ -465,7 +463,7 @@ class WaitSeeSimulation:
                     self.done = True
                     self.outcome = EXTINCT
             return item
-        key = u << _KEY_SHIFT | v
+        key = (u, v)
         e = self.edges[key]
         ui = u in infected
         vi = v in infected
@@ -505,8 +503,7 @@ class WaitSeeSimulation:
 
     def state(self):
         """(infected frozenset, revealed edge-pair frozenset)."""
-        pairs = frozenset((k >> _KEY_SHIFT, k & ((1 << _KEY_SHIFT) - 1)) for k in self.revealed)
-        return frozenset(self.infected), pairs
+        return frozenset(self.infected), frozenset(self.revealed)
 
     def run(self, snapshot_times=()):
         snaps = sorted(snapshot_times)
@@ -518,8 +515,10 @@ class WaitSeeSimulation:
                 out.append((snaps[si],) + self.state())
                 si += 1
             self.step()
-        while si < len(snaps) and snaps[si] <= self.caps.horizon:
-            # queue drained: no infection and no revealed edges remain
+        while not self._queue and si < len(snaps) and snaps[si] <= self.caps.horizon:
+            # queue drained: no infection and no revealed edges remain; a run
+            # stopped early (cap, or extinction without run_to_horizon) leaves
+            # the later states unknown, so it reports no snapshot for them
             out.append((snaps[si],) + self.state())
             si += 1
         time = self.extinction_time if self.extinction_time < math.inf else self.clock
@@ -559,13 +558,42 @@ def _edge_streams(graph, kernel, seed, u, v, with_thin=False):
     return _EdgeStreams(p, vv, bg, inf, thin)
 
 
+def _eager_setup(graph, kernel, seed, lam_clock, with_thin):
+    """Realize all streams of a small finite graph from time zero.
+
+    Returns (queue, seq, edges, recs): the heap holding each edge's first
+    update and infection tick and each vertex's first recovery, the last
+    sequence number used, the per-edge streams keyed by (u, v), and the
+    per-vertex recovery streams.
+    """
+    queue = []
+    seq = 0
+    edges = {}
+    for u, v in graph.edges():
+        e = _edge_streams(graph, kernel, seed, u, v, with_thin=with_thin)
+        edges[(u, v)] = e
+        seq += 1
+        heappush(queue, (e.next_up, seq, UPDATE, u, v))
+        if lam_clock > 0.0:
+            seq += 1
+            heappush(queue, (-math.log(e.inf.random()) / lam_clock, seq, INFECT, u, v))
+    recs = {}
+    for x in range(graph.n_vertices):
+        stream = random.Random(mix(seed, TAG_VERTEX, x))
+        recs[x] = stream
+        seq += 1
+        heappush(queue, (-math.log(stream.random()), seq, RECOVER, x, -1))
+    return queue, seq, edges, recs
+
+
 class KeyedSimulation:
     """CPDG with per-edge / per-vertex seeded streams and replayed activation.
 
     With ``eager=True`` every edge and recovery stream is realized from time
-    zero; with ``eager=False`` an edge's streams are fast-forwarded to the
-    current time when it first touches the infection. Both modes consume the
-    same per-entity streams in the same order, so identical seeds must give
+    zero by ``_eager_setup``, exactly as the coupled runners realize them;
+    with ``eager=False`` an edge's streams are fast-forwarded to the current
+    time when it first touches the infection. Both modes consume the same
+    per-entity streams in the same order, so identical seeds must give
     bit-identical infection trajectories; this is the activation-order
     soundness check behind the default lazy engine.
     """
@@ -580,15 +608,11 @@ class KeyedSimulation:
         self.infected = set()
         self.trajectory = []  # (t, "+"|"-", vertex)
         self.clock = 0.0
-        self._edges = {}
-        self._rec = {}  # vertex -> (stream, next_time)
-        self._queue = []
-        self._seq = 0
         if eager:
-            for u, v in graph.edges():
-                self._create_edge(u, v, 0.0)
-            for x in range(graph.n_vertices):
-                self._create_vertex(x, 0.0)
+            self._queue, self._seq, self._edges, self._rec = _eager_setup(
+                graph, kernel, seed, lam, with_thin=False)
+        else:
+            self._queue, self._seq, self._edges, self._rec = [], 0, {}, {}
         for x in sorted(set(init)):
             self._mark_infected(x, 0.0)
 
@@ -597,7 +621,6 @@ class KeyedSimulation:
         heappush(self._queue, (t, self._seq, kind, u, v))
 
     def _create_edge(self, u, v, t):
-        u, v = (u, v) if u < v else (v, u)
         e = _edge_streams(self.graph, self.kernel, self.seed, u, v)
         # replay background updates that happened before t
         while e.next_up <= t:
@@ -611,7 +634,6 @@ class KeyedSimulation:
                 s += -math.log(e.inf.random()) / self.lam
             self._push(s, INFECT, u, v)
         self._edges[(u, v)] = e
-        return e
 
     def _create_vertex(self, x, t):
         stream = random.Random(mix(self.seed, TAG_VERTEX, x))
@@ -700,26 +722,71 @@ class _Tracker:
                                 tuple(self.reinfections), seed)
 
 
-def _eager_setup(graph, kernel, seed, lam_clock, with_thin):
-    """Realize all streams of a small finite graph from time zero."""
-    queue = []
-    seq = 0
-    edges = {}
-    for u, v in graph.edges():
-        e = _edge_streams(graph, kernel, seed, u, v, with_thin=with_thin)
-        edges[(u, v)] = e
+def _run_shared(graph, kernel, lam_clock, with_thin, low_init, high_init,
+                caps, seed, transmit):
+    """Drive a lower and an upper process by one realization of the streams.
+
+    Recoveries and background updates act on both processes alike. On an
+    infection tick of edge (u, v) at rate `lam_clock`, ``transmit(e, u, v,
+    high)`` reads the edge streams `e` and the upper infected set and returns
+    (low_uses, high_uses): whether the tick is a transmission attempt in each
+    process, which then infects the healthy end of the edge if exactly one
+    end is infected. Stops at extinction of the upper process, at the caps,
+    or at the first event after which the lower infected set is not
+    contained in the upper one. Returns (record_low, record_high, violation).
+    """
+    queue, seq, edges, recs = _eager_setup(graph, kernel, seed, lam_clock, with_thin)
+    low = _Tracker(infected=set(), root=graph.root)
+    high = _Tracker(infected=set(), root=graph.root)
+    for x in sorted(high_init):
+        high.add(x, 0.0)
+        if x in low_init:
+            low.add(x, 0.0)
+    violation = False
+    events = 0
+    clock = 0.0
+    cl, ch = low.infected, high.infected
+    while queue and ch and not violation:
+        t, _, kind, u, v = heappop(queue)
+        if t >= caps.horizon:
+            clock = caps.horizon
+            break
+        clock = t
+        events += 1
+        if events > caps.max_events:
+            break
         seq += 1
-        heappush(queue, (e.next_up, seq, UPDATE, u, v))
-        if lam_clock > 0.0:
-            seq += 1
-            heappush(queue, (-math.log(e.inf.random()) / lam_clock, seq, INFECT, u, v))
-    recs = {}
-    for x in range(graph.n_vertices):
-        stream = random.Random(mix(seed, TAG_VERTEX, x))
-        recs[x] = stream
-        seq += 1
-        heappush(queue, (-math.log(stream.random()), seq, RECOVER, x, -1))
-    return queue, seq, edges, recs
+        if kind == RECOVER:
+            heappush(queue, (t - math.log(recs[u].random()), seq, RECOVER, u, -1))
+            low.remove(u, t)
+            high.remove(u, t)
+        elif kind == UPDATE:
+            e = edges[(u, v)]
+            e.open = e.bg.random() < e.p
+            e.revealed = e.b_used = False  # a new background era
+            heappush(queue, (t - math.log(e.bg.random()) / e.v, seq, UPDATE, u, v))
+        else:
+            e = edges[(u, v)]
+            heappush(queue, (t - math.log(e.inf.random()) / lam_clock, seq, INFECT, u, v))
+            low_uses, high_uses = transmit(e, u, v, ch)
+            if high_uses:
+                ui = u in ch
+                if ui != (v in ch):
+                    high.add(v if ui else u, t)
+            if low_uses:
+                ui = u in cl
+                if ui != (v in cl):
+                    low.add(v if ui else u, t)
+        violation = not cl <= ch
+    outcome = HORIZON if clock >= caps.horizon else (CAP if events > caps.max_events else EXTINCT)
+    return (low.record(outcome, clock, events, seed),
+            high.record(outcome, clock, events, seed),
+            violation)
+
+
+def _open_rule(e, u, v, high):
+    """Both processes transmit across an open edge."""
+    return e.open, e.open
 
 
 def run_coupled(graph: GraphView, kernel: KernelSpec, lam: float,
@@ -732,8 +799,8 @@ def run_coupled(graph: GraphView, kernel: KernelSpec, lam: float,
     small_set, big_set = set(init_small), set(init_big)
     if not small_set <= big_set:
         raise ValueError("init_small must be a subset of init_big")
-    return _run_coupled_pair(graph, kernel, lam, lam, small_set, big_set,
-                             caps, seed, thin_ratio=None)
+    return _run_shared(graph, kernel, lam, False, small_set, big_set, caps, seed,
+                       _open_rule)
 
 
 def run_coupled_lambda(graph: GraphView, kernel: KernelSpec, lam_small: float,
@@ -741,63 +808,38 @@ def run_coupled_lambda(graph: GraphView, kernel: KernelSpec, lam_small: float,
     """Two CPDGs sharing one event stream, the smaller rate thinned from the bigger."""
     if not 0.0 <= lam_small <= lam_big:
         raise ValueError("need 0 <= lam_small <= lam_big")
+    ratio = lam_small / lam_big if lam_big > 0.0 else 0.0
+
+    def thinned_rule(e, u, v, high):
+        # the small process keeps an open-edge tick with probability ratio
+        if not e.open:
+            return False, False
+        return e.thin.random() < ratio, True
+
     init = set(init)
-    return _run_coupled_pair(graph, kernel, lam_small, lam_big, set(init),
-                             set(init), caps, seed, thin_ratio=lam_small / lam_big)
+    return _run_shared(graph, kernel, lam_big, True, init, init, caps, seed, thinned_rule)
 
 
-def _run_coupled_pair(graph, kernel, lam_small, lam_big, small_init, big_init,
-                      caps, seed, thin_ratio):
-    queue, seq, edges, recs = _eager_setup(graph, kernel, seed, lam_big,
-                                           with_thin=thin_ratio is not None)
-    small = _Tracker(infected=set(), root=graph.root)
-    big = _Tracker(infected=set(), root=graph.root)
-    for x in sorted(big_init):
-        big.add(x, 0.0)
-        if x in small_init:
-            small.add(x, 0.0)
-    violation = False
-    events = 0
-    clock = 0.0
-    cs, cb = small.infected, big.infected
-    while queue and cb and not violation:
-        t, _, kind, u, v = heappop(queue)
-        if t >= caps.horizon:
-            clock = caps.horizon
-            break
-        clock = t
-        events += 1
-        if events > caps.max_events:
-            break
-        if kind == RECOVER:
-            seq += 1
-            heappush(queue, (t - math.log(recs[u].random()), seq, RECOVER, u, -1))
-            small.remove(u, t)
-            big.remove(u, t)
-        elif kind == UPDATE:
-            e = edges[(u, v)]
-            e.open = e.bg.random() < e.p
-            seq += 1
-            heappush(queue, (t - math.log(e.bg.random()) / e.v, seq, UPDATE, u, v))
+def _reveal_rule(e, u, v, cx):
+    """CPDG transmits across open edges, wait-and-see across revealed ones.
+
+    An unrevealed edge touching the wait-and-see infection reveals on a tick
+    of the full-rate clock, which thins it to rate lam * p: the decision
+    reads the open state once per background era and independent coins
+    afterwards.
+    """
+    if not e.revealed:
+        if u not in cx and v not in cx:
+            return e.open, False
+        if e.b_used:
+            decide = e.thin.random() < e.p
         else:
-            e = edges[(u, v)]
-            seq += 1
-            heappush(queue, (t - math.log(e.inf.random()) / lam_big, seq, INFECT, u, v))
-            if e.open:
-                small_uses = thin_ratio is None or e.thin.random() < thin_ratio
-                ui, vi = u in cb, v in cb
-                if ui != vi:
-                    big.add(v if ui else u, t)
-                if small_uses:
-                    ui, vi = u in cs, v in cs
-                    if ui != vi:
-                        small.add(v if ui else u, t)
-        if not cs <= cb:
-            violation = True
-    outcome = HORIZON if clock >= caps.horizon else (CAP if events > caps.max_events else EXTINCT)
-    return (small.record(outcome, clock, events, seed),
-            big.record(outcome, clock, events, seed),
-            violation)
+            decide = e.open
+            e.b_used = True
+        if not decide:
+            return e.open, False
+        e.revealed = True
+    return e.open, True
 
 
 def run_waitandsee_dominating(graph: GraphView, kernel: KernelSpec, lam: float,
@@ -810,69 +852,5 @@ def run_waitandsee_dominating(graph: GraphView, kernel: KernelSpec, lam: float,
     (record_cpdg, record_ws, violation) with violation reporting any failure
     of C(t) <= C_ws(t).
     """
-    queue, seq, edges, recs = _eager_setup(graph, kernel, seed, lam, with_thin=True)
-    cp = _Tracker(infected=set(), root=graph.root)
-    ws = _Tracker(infected=set(), root=graph.root)
-    for x in sorted(set(init)):
-        cp.add(x, 0.0)
-        ws.add(x, 0.0)
-    violation = False
-    events = 0
-    clock = 0.0
-    c, cx = cp.infected, ws.infected
-    while queue and cx and not violation:
-        t, _, kind, u, v = heappop(queue)
-        if t >= caps.horizon:
-            clock = caps.horizon
-            break
-        clock = t
-        events += 1
-        if events > caps.max_events:
-            break
-        if kind == RECOVER:
-            seq += 1
-            heappush(queue, (t - math.log(recs[u].random()), seq, RECOVER, u, -1))
-            cp.remove(u, t)
-            ws.remove(u, t)
-        elif kind == UPDATE:
-            e = edges[(u, v)]
-            e.open = e.bg.random() < e.p
-            e.revealed = False
-            e.b_used = False
-            seq += 1
-            heappush(queue, (t - math.log(e.bg.random()) / e.v, seq, UPDATE, u, v))
-        else:
-            e = edges[(u, v)]
-            seq += 1
-            heappush(queue, (t - math.log(e.inf.random()) / lam, seq, INFECT, u, v))
-            # CPDG: transmission needs an open edge
-            ui, vi = u in c, v in c
-            newly_c = (v if ui else u) if (e.open and ui != vi) else None
-            # wait-and-see: revealed edges carry the full rate; unrevealed
-            # edges reveal at the thinned rate, reading the open state once
-            # per background era and independent coins afterwards
-            newly_x = None
-            uxi, vxi = u in cx, v in cx
-            if e.revealed:
-                if uxi != vxi:
-                    newly_x = v if uxi else u
-            elif uxi or vxi:
-                if not e.b_used:
-                    decide = e.open
-                    e.b_used = True
-                else:
-                    decide = e.thin.random() < e.p
-                if decide:
-                    e.revealed = True
-                    if uxi != vxi:
-                        newly_x = v if uxi else u
-            if newly_x is not None:
-                ws.add(newly_x, t)
-            if newly_c is not None:
-                cp.add(newly_c, t)
-        if not c <= cx:
-            violation = True
-    outcome = HORIZON if clock >= caps.horizon else (CAP if events > caps.max_events else EXTINCT)
-    return (cp.record(outcome, clock, events, seed),
-            ws.record(outcome, clock, events, seed),
-            violation)
+    init = set(init)
+    return _run_shared(graph, kernel, lam, True, init, init, caps, seed, _reveal_rule)

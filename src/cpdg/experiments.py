@@ -17,16 +17,16 @@ import bisect
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from . import engine
-from .closedform import GAMMA, StarConstants, path_lower_bound, star_constants
-from .engine import CPDG, Caps, TrajectoryRecord
+from .closedform import StarConstants, path_lower_bound, star_constants
+from .engine import CPDG, Caps
 from .graph import GraphView, OffspringDistribution, TreeCaps, build_finite
-from .kernels import KernelSpec, p_value, p_value_array, v_value
+from .kernels import KernelSpec, p_value_array
 from .rng import TAG_EXPERIMENT, TAG_TREE, mix, replica_seed
 
 

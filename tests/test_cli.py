@@ -102,6 +102,18 @@ class TestDispatch:
         assert rc == 0
         assert "stable_frequency=" in out
 
+    def test_kernel_table_missing_pair(self, tmp_path):
+        table = tmp_path / "kernel.txt"
+        table.write_text("1 1 0.5\n")  # the star needs the (1, 3) pair
+        cfg = {"graph": {"kind": "finite", "edges": [[0, 1], [0, 2], [0, 3]]},
+               "kernel": {"alpha": 0.5, "table": str(table)}, "lambda": 1.0,
+               "horizon": 2.0, "replicas": 5}
+        rc, out, _ = run_dispatch("simulate", cfg, out_dir=str(tmp_path / "o"))
+        assert rc == 2
+        assert out == "error: custom kernel table has no entry for degrees (1, 3)\n"
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert "no entry" in report["report"]["failure"]
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"lambda": 1.0}')

@@ -53,6 +53,12 @@ class TestLambdaMonotonicity:
                 if big.extinct and small.extinct:
                     assert small.time <= big.time + 1e-12
 
+    def test_both_rates_zero(self):
+        g = build_finite([(0, 1), (0, 2)])
+        small, big, violation = run_coupled_lambda(g, SPEC, 0.0, 0.0, {0}, CAPS, 1)
+        assert not violation
+        assert small == big and small.peak_infected == 1
+
     def test_rate_order_enforced(self):
         g = build_finite([(0, 1)])
         with pytest.raises(ValueError):
