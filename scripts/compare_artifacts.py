@@ -1,0 +1,105 @@
+"""Compare CLI artifacts of this checkout with those of another checkout.
+
+    python scripts/compare_artifacts.py OTHER_CHECKOUT
+
+Runs a fixed set of configs through `cpdg.cli.parse_config` and
+`cpdg.cli.dispatch` with each checkout's `src/` on the path, and compares the
+exit code, the printed lines and every artifact file byte for byte once each
+side's config hash is replaced by a placeholder. So a change that only
+changes config hashes passes. Prints one line per config; exits 1 on any
+difference.
+
+The configs: both determinism configs of the acceptance suite, one config
+per subcommand, and batch 0 (seed 601) of the `bgw_survival` and
+`star_samplers` benchmark workloads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+# run in a child process: argv = subcommand, config JSON, artifact directory
+CHILD = """
+import io, json, sys
+from cpdg import cli
+config = cli.parse_config(sys.argv[2], sys.argv[1])
+out = io.StringIO()
+rc = cli.dispatch(config, out_dir=sys.argv[3], stream=out)
+print(json.dumps({"rc": rc, "hash": config.config_hash, "stdout": out.getvalue()}))
+"""
+
+K2 = {"kind": "finite", "edges": [[0, 1]]}
+STAR3 = {"kind": "finite", "edges": [[0, 1], [0, 2], [0, 3]]}
+
+
+def configs():
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    import workloads  # noqa: E402  (the benchmark's own config builders)
+
+    out = [
+        ("C12 simulate", "simulate", {"graph": STAR3, "kernel": {"alpha": 0.5}, "lambda": 1.0,
+                                      "horizon": 2.0, "replicas": 2000, "records": True,
+                                      "seed": 12}),
+        ("C12 star", "star", {"kernel": {"alpha": 0.2, "sigma": 0.0},
+                              "dist": {"kind": "deterministic", "d": 2}, "n_values": [200],
+                              "degree_bound": 4, "replicas": 300, "stability_only": True,
+                              "seed": 12}),
+        ("simulate grid", "simulate", {"graph": K2, "kernel": {"alpha": 0.5},
+                                       "lambda": [0.2, 0.4, 0.6, 0.8, 1.0], "horizon": 2.0,
+                                       "replicas": 50}),
+        ("star survival", "star", {"kernel": {"alpha": 0.2, "sigma": 0.0},
+                                   "dist": {"kind": "deterministic", "d": 2},
+                                   "n_values": [20, 40], "degree_bound": 4, "lambda": 0.4,
+                                   "replicas": 20, "seed": 3}),
+        ("path", "path", {"kernel": {"alpha": 0.5}, "r_values": [1, 2, 3], "degree": 3,
+                          "lambda": 0.5, "replicas": 200, "seed": 4}),
+        ("phase", "phase", {"alpha": 0.3, "eta": 0.1, "tail": "power_law"}),
+        ("edge-law", "edge-law", {"lambda": 1.0, "v": 1.0, "p": 1.0}),
+        ("oracle", "oracle", {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}),
+        ("check", "check", {"graph": {"kind": "finite", "edges": [[0, i] for i in range(1, 6)]},
+                            "kernel": {"alpha": 1.2, "sigma": 1.0}, "lambda": 0.05,
+                            "weight": {"kind": "linear"}}),
+    ]
+    with tempfile.TemporaryDirectory() as scratch:
+        out.append(("bgw_survival batch 0", "simulate",
+                     workloads.BGWSurvival(601, "full", scratch).config(0)))
+        out += [(f"star_samplers batch 0 {label}", "star", cfg)
+                for label, cfg in workloads.StarSamplers(601, "full", scratch).configs(0)]
+    return out
+
+
+def run(checkout, subcommand, cfg, out_dir):
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    proc = subprocess.run([sys.executable, "-c", CHILD, subcommand, json.dumps(cfg), out_dir],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    files = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = fh.read().replace(result["hash"].encode(), b"<hash>")
+    return result["rc"], result["stdout"].replace(result["hash"], "<hash>"), files
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    other = os.path.abspath(argv[0])
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, subcommand, cfg) in enumerate(configs()):
+            sides = [run(tree, subcommand, cfg, os.path.join(tmp, f"{i}-{side}"))
+                     for side, tree in (("this", ROOT), ("other", other))]
+            same = sides[0] == sides[1]
+            differ += not same
+            print(f"{'same' if same else 'DIFFERENT'}  {label}: rc={sides[0][0]}, "
+                  f"files {sorted(sides[0][2])}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

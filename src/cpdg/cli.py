@@ -1,9 +1,11 @@
 """Configuration, subcommands, deterministic seeding, result persistence.
 
-One JSON config file drives each run. Unknown keys are rejected (no silent
-defaults for misspellings), every violation is reported with its field path,
-and the canonicalized config is hashed into every artifact so reruns can be
-checked byte for byte.
+One JSON config file drives each run. Each subcommand's schema names exactly
+the keys it reads, so a key it would ignore is rejected as unknown, and every
+violation is reported with its field path. Defaults live in the library's
+signatures: handlers pass on only the keys a config gives. The canonicalized
+config, minus the keys that cannot change results, is hashed into every
+artifact so reruns can be checked byte for byte.
 
 Subcommands: simulate | star | path | phase | edge-law | oracle | check.
 """
@@ -29,7 +31,8 @@ from .kernels import KernelError, KernelSpec, load_kernel_table
 
 SUBCOMMANDS = ("simulate", "star", "path", "phase", "edge-law", "oracle", "check")
 
-_VARIANTS = (CPDG, WAIT_AND_SEE, PENALISED, LOWER_BOUND)
+# keys that cannot change results, left out of the config hash
+_UNHASHED = ("out", "threads")
 
 
 class ConfigError(ValueError):
@@ -78,63 +81,78 @@ def _boolean(v):
     return None if isinstance(v, bool) else "must be a boolean"
 
 
-def _num_list(lo=None, min_len=1):
-    item = _num(lo)
+def _list(item):
+    """A non-empty list whose items all pass `item`."""
     def check(v):
-        if not isinstance(v, list) or len(v) < min_len:
-            return f"must be a list of at least {min_len} numbers"
-        for x in v:
+        if not isinstance(v, list) or not v:
+            return "must be a non-empty list"
+        for i, x in enumerate(v):
             bad = item(x)
             if bad:
-                return f"items {bad}"
+                return f"item {i} {bad}"
         return None
     return check
 
 
-def _int_list(lo=None, min_len=1):
-    item = _integer(lo)
-    def check(v):
-        if not isinstance(v, list) or len(v) < min_len:
-            return f"must be a list of at least {min_len} integers"
-        for x in v:
-            bad = item(x)
-            if bad:
-                return f"items {bad}"
-        return None
-    return check
-
-
-def _edge_list(v):
-    if not isinstance(v, list) or not v:
-        return "must be a non-empty list of [u, v] pairs"
-    for e in v:
-        if (not isinstance(e, list) or len(e) != 2
-                or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e)):
-            return "must contain [u, v] pairs of non-negative integers"
+def _edge(v):
+    if not isinstance(v, list) or len(v) != 2 or any(map(_integer(0), v)):
+        return "must be a [u, v] pair of non-negative integers"
     return None
 
 
-_DIST_SCHEMA = {
-    "kind": (True, _string({"power_law", "stretched", "geometric", "deterministic", "tabulated"})),
-    "b": (False, _num(1.0, strict_lo=True)),
-    "beta": (False, _num(0.0, 1.0, strict_lo=True)),
-    "scale": (False, _num(0.0, strict_lo=True)),
-    "q": (False, _num(0.0, 1.0, strict_lo=True)),
-    "d": (False, _integer(0)),
-    "weights": (False, _num_list(0.0)),
-    "k0": (False, _integer(0)),
-}
+def _grid(v):
+    """One rate >= 0, or a non-empty list of them."""
+    return (_list(_num(0.0)) if isinstance(v, list) else _num(0.0))(v)
 
-_GRAPH_SCHEMA = {
-    "kind": (True, _string({"finite", "finite_file", "bgw"})),
-    "edges": (False, _edge_list),
-    "path": (False, _string()),
-    "dist": (False, _DIST_SCHEMA),
-    "max_vertices": (False, _integer(1)),
-    "max_depth": (False, _integer(0)),
-    "root_degree": (False, _integer(1)),
-    "init": (False, _int_list(0)),
-}
+
+@dataclasses.dataclass(frozen=True)
+class _Switch:
+    """A block whose keys depend on the value of one of them.
+
+    `cases` maps each allowed value of `key` to the schema of the other keys;
+    a block without `key` is read as `default`, or is an error if that is None.
+    """
+
+    cases: dict
+    key: str = "kind"
+    default: object = None
+
+    def pick(self, block, path, errors):
+        value = block.get(self.key, self.default)
+        if self.key not in block and self.default is None:
+            errors.append(f"{path}{self.key}: missing required key")
+        elif not any(type(value) is type(c) and value == c for c in self.cases):
+            errors.append(f"{path}{self.key}: must be one of {sorted(self.cases)}")
+        else:
+            return {self.key: (False, None), **self.cases[value]}
+        return None
+
+
+_K0 = {"k0": (False, _integer(0))}
+
+_DIST_SCHEMA = _Switch({
+    "power_law": {"b": (True, _num(1.0, strict_lo=True)), **_K0},
+    "stretched": {"beta": (True, _num(0.0, 1.0, strict_lo=True)),
+                  "scale": (False, _num(0.0, strict_lo=True)), **_K0},
+    "geometric": {"q": (True, _num(0.0, 1.0, strict_lo=True)), **_K0},
+    "deterministic": {"d": (True, _integer(0))},
+    "tabulated": {"weights": (True, _list(_num(0.0))), **_K0},
+})
+
+
+def _graph_schema(bgw=True, init=True):
+    """Graph block schema: lazy trees only where the subcommand can use them,
+    and `init` only where it reads an initial set."""
+    start = {"init": (False, _list(_integer(0)))} if init else {}
+    cases = {"finite": {"edges": (True, _list(_edge)), **start},
+             "finite_file": {"path": (True, _string()), **start}}
+    if bgw:
+        cases["bgw"] = {"dist": (True, _DIST_SCHEMA),
+                        "max_vertices": (False, _integer(1)),
+                        "max_depth": (False, _integer(0)),
+                        "root_degree": (False, _integer(1))}
+    return _Switch(cases)
+
 
 _KERNEL_SCHEMA = {
     "alpha": (True, _num(0.0)),
@@ -145,90 +163,100 @@ _KERNEL_SCHEMA = {
     "table": (False, _string()),
 }
 
-_WEIGHT_SCHEMA = {
-    "kind": (True, _string({"linear", "power", "constant"})),
-    "beta": (False, _num()),
-}
+_WEIGHT_SCHEMA = _Switch({"linear": {}, "power": {"beta": (False, _num())},
+                          "constant": {}})
 
 # keys every subcommand accepts
 _COMMON = {
     "seed": (False, _integer(0)),
     "out": (False, _string()),
+}
+
+_SIMULATE = {
+    **_COMMON,
+    "graph": (True, _graph_schema()),
+    "kernel": (True, _KERNEL_SCHEMA),
+    "lambda": (True, _grid),
+    "horizon": (True, _num(0.0)),
+    "replicas": (True, _integer(1)),
+    "max_infected": (False, _integer(1)),
+    "records": (False, _boolean),
     "threads": (False, _integer(1)),
 }
 
+_STAR = {
+    **_COMMON,
+    "kernel": (True, _KERNEL_SCHEMA),
+    "dist": (True, _DIST_SCHEMA),
+    "n_values": (True, _list(_integer(1))),
+    "degree_bound": (True, _integer(1)),
+    "replicas": (True, _integer(1)),
+}
+
+_PHASE = {
+    **_COMMON,
+    "alpha": (False, _num(0.0)),
+    "alpha_values": (False, _list(_num(0.0))),
+    "sigma": (False, _num(0.0, 1.0)),
+    "eta": (False, _num()),
+    "eta_values": (False, _list(_num())),
+    "offspring_min_one": (False, _boolean),
+}
+
 _SCHEMAS = {
-    "simulate": {
-        **_COMMON,
-        "graph": (True, _GRAPH_SCHEMA),
-        "kernel": (True, _KERNEL_SCHEMA),
-        "lambda": (True, None),  # number or list, checked separately
-        "horizon": (True, _num(0.0)),
-        "replicas": (True, _integer(1)),
-        "variant": (False, _string(set(_VARIANTS))),
-        "bg_mode": (False, _string({"explicit", "thinned"})),
-        "max_infected": (False, _integer(1)),
-        "records": (False, _boolean),
-    },
-    "star": {
-        **_COMMON,
-        "kernel": (True, _KERNEL_SCHEMA),
-        "dist": (True, _DIST_SCHEMA),
-        "n_values": (True, _int_list(1)),
-        "degree_bound": (True, _integer(1)),
-        "lambda": (False, None),
-        "replicas": (True, _integer(1)),
-        "max_windows": (False, _integer(4)),
-        "stability_only": (False, _boolean),
-    },
+    # only the cpdg variant has a background to thin
+    "simulate": _Switch({CPDG: {**_SIMULATE, "bg_mode": (False, _string({"explicit", "thinned"}))},
+                         **dict.fromkeys((WAIT_AND_SEE, PENALISED, LOWER_BOUND), _SIMULATE)},
+                        key="variant", default=CPDG),
+    "star": _Switch({True: _STAR,
+                     False: {**_STAR, "lambda": (True, _num(0.0)),
+                             "max_windows": (False, _integer(4))}},
+                    key="stability_only", default=False),
     "path": {
         **_COMMON,
         "kernel": (True, _KERNEL_SCHEMA),
-        "r_values": (True, _int_list(1)),
+        "r_values": (True, _list(_integer(1))),
         "degree": (True, _integer(1)),
-        "lambda": (True, None),
+        "lambda": (True, _num(0.0)),
         "replicas": (True, _integer(1)),
         "within_factor": (False, _num(0.0, strict_lo=True)),
     },
-    "phase": {
-        **_COMMON,
-        "alpha": (False, _num(0.0)),
-        "alpha_values": (False, _num_list(0.0)),
-        "sigma": (False, _num(0.0, 1.0)),
-        "eta": (False, _num()),
-        "eta_values": (False, _num_list()),
-        "tail": (True, _string({"power_law", "stretched"})),
-        "tail_param": (False, _num(0.0, strict_lo=True)),
-        "offspring_min_one": (False, _boolean),
-    },
+    # the rules read a tail parameter for stretched tails only
+    "phase": _Switch({"power_law": _PHASE,
+                      "stretched": {**_PHASE, "tail_param": (True, _num(0.0, strict_lo=True))}},
+                     key="tail"),
     "edge-law": {
         **_COMMON,
         "lambda": (True, _num(0.0, strict_lo=True)),
         "v": (True, _num(0.0, strict_lo=True)),
         "p": (True, _num(0.0, 1.0)),
-        "tail_times": (False, _num_list(0.0)),
+        "tail_times": (False, _list(_num(0.0))),
     },
     "oracle": {
         **_COMMON,
-        "graph": (True, _GRAPH_SCHEMA),
+        "graph": (True, _graph_schema(bgw=False)),
         "kernel": (True, _KERNEL_SCHEMA),
         "lambda": (True, _num(0.0)),
         "t": (True, _num(0.0)),
-        "init": (False, _int_list(0)),
     },
     "check": {
         **_COMMON,
-        "graph": (True, _GRAPH_SCHEMA),
+        "graph": (True, _graph_schema(bgw=False, init=False)),
         "kernel": (True, _KERNEL_SCHEMA),
         "lambda": (False, _num(0.0)),
         "weight": (False, _WEIGHT_SCHEMA),
     },
 }
 
+
 def _validate(block, schema, path, errors):
     if not isinstance(block, dict):
         errors.append(f"{path or '<root>'}: must be an object")
         return
+    if isinstance(schema, _Switch):
+        schema = schema.pick(block, path, errors)
+        if schema is None:
+            return
     for key in block:
         if key not in schema:
             errors.append(f"{path + key}: unknown key")
@@ -239,7 +267,7 @@ def _validate(block, schema, path, errors):
                 errors.append(f"{here}: missing required key")
             continue
         value = block[key]
-        if isinstance(checker, dict):
+        if isinstance(checker, (dict, _Switch)):
             _validate(value, checker, here + ".", errors)
         elif checker is not None:
             bad = checker(value)
@@ -247,15 +275,12 @@ def _validate(block, schema, path, errors):
                 errors.append(f"{here}: {bad}")
 
 
-def _check_lambda(cfg, errors):
-    if "lambda" not in cfg:
-        return
-    lam = cfg["lambda"]
-    ok_scalar = isinstance(lam, (int, float)) and not isinstance(lam, bool) and lam >= 0
-    ok_list = (isinstance(lam, list) and lam
-               and all(isinstance(x, (int, float)) and not isinstance(x, bool) and x >= 0 for x in lam))
-    if not (ok_scalar or ok_list):
-        errors.append("lambda: must be a number >= 0 or a non-empty list of such")
+def _semantic_errors(subcommand, data):
+    if subcommand != "phase":
+        return []
+    return [f"phase: give exactly one of {one} / {grid}"
+            for one, grid in (("alpha", "alpha_values"), ("eta", "eta_values"))
+            if (one in data) == (grid in data)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,125 +293,89 @@ class ExperimentConfig:
     def seed(self) -> int:
         return self.data["seed"]
 
-    def lambda_grid(self):
-        lam = self.data.get("lambda", 0.0)
-        return list(lam) if isinstance(lam, list) else [lam]
+
+_KERNEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(KernelSpec)
+                    if f.name in _KERNEL_SCHEMA and f.default is not dataclasses.MISSING}
 
 
 def canonicalize(subcommand: str, data: dict) -> dict:
-    out = dict(data)
-    out.setdefault("seed", 0)
-    out.setdefault("threads", 1)
+    out = {"seed": 0, **data}
     if "kernel" in out:
-        kern = dict(out["kernel"])
-        kern.setdefault("sigma", 1.0)
-        kern.setdefault("kappa", 1.0)
-        kern.setdefault("eta", 0.0)
-        kern.setdefault("nu", 1.0)
-        out["kernel"] = kern
+        out["kernel"] = {**_KERNEL_DEFAULTS, **out["kernel"]}
     return out
 
 
 def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     """Parse and validate a JSON config; raises ConfigError listing every violation."""
-    if subcommand not in _SCHEMAS:
-        raise ConfigError([f"unknown subcommand {subcommand!r}"])
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
+    return _config_from_data(data, subcommand)
+
+
+def _config_from_data(data, subcommand: str) -> ExperimentConfig:
+    if subcommand not in _SCHEMAS:
+        raise ConfigError([f"unknown subcommand {subcommand!r}"])
     errors: list[str] = []
     _validate(data, _SCHEMAS[subcommand], "", errors)
-    _check_lambda(data, errors)
     if not errors:
         errors.extend(_semantic_errors(subcommand, data))
     if errors:
         raise ConfigError(errors)
     canon = canonicalize(subcommand, data)
-    blob = json.dumps({"subcommand": subcommand, "config": canon},
+    hashed = {k: v for k, v in canon.items() if k not in _UNHASHED}
+    blob = json.dumps({"subcommand": subcommand, "config": hashed},
                       sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     return ExperimentConfig(subcommand=subcommand, data=canon, config_hash=digest)
-
-
-def _semantic_errors(subcommand, data):
-    errors = []
-    dist_blocks = []
-    if "dist" in data:
-        dist_blocks.append(("dist", data["dist"]))
-    if "graph" in data and isinstance(data["graph"], dict):
-        g = data["graph"]
-        kind = g.get("kind")
-        if kind == "finite" and "edges" not in g:
-            errors.append("graph.edges: required for kind=finite")
-        if kind == "finite_file" and "path" not in g:
-            errors.append("graph.path: required for kind=finite_file")
-        if kind == "bgw":
-            if "dist" not in g:
-                errors.append("graph.dist: required for kind=bgw")
-            else:
-                dist_blocks.append(("graph.dist", g["dist"]))
-    for path, block in dist_blocks:
-        kind = block.get("kind")
-        needs = {"power_law": "b", "stretched": "beta", "geometric": "q",
-                 "deterministic": "d", "tabulated": "weights"}.get(kind)
-        if needs and needs not in block:
-            errors.append(f"{path}.{needs}: required for kind={kind}")
-    if subcommand == "phase":
-        if ("alpha" in data) == ("alpha_values" in data):
-            errors.append("phase: give exactly one of alpha / alpha_values")
-        if ("eta" in data) == ("eta_values" in data):
-            errors.append("phase: give exactly one of eta / eta_values")
-        if data.get("tail") == "stretched" and "tail_param" not in data:
-            errors.append("tail_param: required for stretched tails")
-    return errors
 
 
 # ---------------------------------------------------------------------------
 # object construction
 # ---------------------------------------------------------------------------
 
+def _given(block, *keys):
+    """The keys of `block` among `keys`, to pass on as keyword arguments."""
+    return {k: block[k] for k in keys if k in block}
+
+
+_DISTS = {"power_law": power_law, "stretched": stretched_exponential,
+          "geometric": geometric, "deterministic": deterministic,
+          "tabulated": tabulated}
+
+
 def build_dist(block):
-    kind = block["kind"]
-    k0 = block.get("k0")
-    if kind == "power_law":
-        return power_law(block["b"], k0 if k0 is not None else 1)
-    if kind == "stretched":
-        return stretched_exponential(block["beta"], block.get("scale", 1.0),
-                                     k0 if k0 is not None else 1)
-    if kind == "geometric":
-        return geometric(block["q"], k0 if k0 is not None else 0)
-    if kind == "deterministic":
-        return deterministic(block["d"])
-    return tabulated(block["weights"], k0 if k0 is not None else 0)
+    params = {k: v for k, v in block.items() if k != "kind"}
+    return _DISTS[block["kind"]](**params)
 
 
 def build_kernel(block) -> KernelSpec:
-    custom = load_kernel_table(block["table"]) if "table" in block else None
-    return KernelSpec(alpha=block["alpha"], sigma=block["sigma"],
-                      kappa=block["kappa"], eta=block["eta"], nu=block["nu"],
-                      custom_p=custom)
+    params = {k: v for k, v in block.items() if k != "table"}
+    if "table" in block:
+        params["custom_p"] = load_kernel_table(block["table"])
+    return KernelSpec(**params)
 
 
 def build_graph_spec(block):
     kind = block["kind"]
-    init = tuple(block.get("init", [0]))
+    if kind == "bgw":
+        return experiments.BGWGraphSpec(
+            dist=build_dist(block["dist"]),
+            caps=TreeCaps(**_given(block, "max_vertices", "max_depth")),
+            **_given(block, "root_degree"))
     if kind == "finite":
         edges = tuple(tuple(e) for e in block["edges"])
-        return experiments.FiniteGraphSpec(edges=edges, init=init)
-    if kind == "finite_file":
+        n = 1 + max(max(e) for e in edges)
+    else:
         g = load_edge_list(block["path"])
-        return experiments.FiniteGraphSpec(edges=tuple(g.edges()), init=init)
-    caps = TreeCaps(max_vertices=block.get("max_vertices", 1_000_000),
-                    max_depth=block.get("max_depth", 10_000))
-    return experiments.BGWGraphSpec(dist=build_dist(block["dist"]), caps=caps,
-                                    root_degree=block.get("root_degree"))
-
-
-def build_weight(block) -> lyapunov.WeightFunction:
-    if block is None:
-        return lyapunov.LINEAR_WEIGHT
-    return lyapunov.WeightFunction(block["kind"], beta=block.get("beta", 1.0))
+        edges, n = tuple(g.edges()), g.n_vertices
+    start = {k: tuple(v) for k, v in _given(block, "init").items()}
+    outside = [x for x in start.get("init", ()) if x >= n]
+    if outside:
+        raise ConfigError([f"graph.init: vertex {outside[0]} is not in the graph "
+                           f"(vertices 0..{n - 1})"])
+    return experiments.FiniteGraphSpec(edges=edges, **start)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +438,12 @@ def write_artifacts(out_dir, config, summary_rows, records=None, report=None):
     return paths
 
 
-def _print_kv(prefix, obj, out):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _print_kv(f"{prefix}{k}." if prefix else f"{k}.", obj[k], out)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _print_kv(f"{prefix}{i}.", v, out)
-    else:
-        out.write(f"{prefix[:-1]}={obj}\n")
+def _kv_result(report, stream):
+    """Handler result for a flat report: `key=value` lines and one row per key."""
+    rows = [{"key": k, "value": v} for k, v in sorted(report.items())]
+    for row in rows:
+        stream.write(f"{row['key']}={row['value']}\n")
+    return [], rows, None, report
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +471,8 @@ def dispatch(config: ExperimentConfig, out_dir: str | None = None,
     try:
         failures, summary_rows, records, report = handler(config, stream)
     except (ConfigError, GraphError, DistributionError, KernelError,
-            closedform.ConditionError, experiments.ExperimentError) as exc:
+            closedform.ConditionError, experiments.ExperimentError,
+            oracle.StateCapExceeded) as exc:
         stream.write(f"error: {exc}\n")
         if out_dir:
             write_artifacts(out_dir, config, [], report={"failure": str(exc)})
@@ -506,17 +491,16 @@ def _run_simulate(config, stream):
     d = config.data
     spec = build_graph_spec(d["graph"])
     kernel = build_kernel(d["kernel"])
+    options = _given(d, "variant", "bg_mode", "max_infected", "threads")
+    collect = d.get("records", False)
+    grid = d["lambda"] if isinstance(d["lambda"], list) else [d["lambda"]]
     rows = []
     records_out = []
     estimates = []
-    collect = bool(d.get("records", False))
-    for j, lam in enumerate(config.lambda_grid()):
+    for j, lam in enumerate(grid):
         est, recs = experiments.estimate_survival(
             spec, kernel, lam, d["horizon"], d["replicas"],
-            seed=experiments.mix(d["seed"], j), variant=d.get("variant", CPDG),
-            bg_mode=d.get("bg_mode", "explicit"),
-            max_infected=d.get("max_infected", 1 << 30),
-            collect_records=collect, threads=d.get("threads", 1))
+            seed=experiments.mix(d["seed"], j), collect_records=collect, **options)
         estimates.append(est)
         rows.append({
             "lambda": lam, "replicas": est.replicas, "extinct": est.extinct,
@@ -536,7 +520,7 @@ def _run_star(config, stream):
     d = config.data
     kernel = build_kernel(d["kernel"])
     dist = build_dist(d["dist"])
-    if d.get("stability_only", False):
+    if d.get("stability_only"):
         rows = []
         reports = []
         for n in d["n_values"]:
@@ -548,10 +532,9 @@ def _run_star(config, stream):
                          "threshold": rep.threshold, "underpowered": rep.underpowered})
             stream.write(f"n={n} stable_frequency={rep.frequency:.4f} bound={rep.bound:.4f}\n")
         return [], rows, None, reports
-    lam = config.lambda_grid()[0]
-    rep = experiments.star_survival(d["n_values"], d["degree_bound"], lam, kernel,
-                                    dist, d["replicas"], d["seed"],
-                                    max_windows=d.get("max_windows", 1 << 14))
+    rep = experiments.star_survival(d["n_values"], d["degree_bound"], d["lambda"],
+                                    kernel, dist, d["replicas"], d["seed"],
+                                    **_given(d, "max_windows"))
     rows = [{"n": r.constants.n, "median_extinction": r.median_extinction,
              "stable_fraction": r.stable_fraction, "censored": r.censored}
             for r in rep.records]
@@ -569,10 +552,9 @@ def _run_star(config, stream):
 def _run_path(config, stream):
     d = config.data
     kernel = build_kernel(d["kernel"])
-    rep = experiments.path_transmission(d["r_values"], d["degree"],
-                                        config.lambda_grid()[0], kernel,
-                                        d["replicas"], d["seed"],
-                                        within_factor=d.get("within_factor", 4.0))
+    rep = experiments.path_transmission(d["r_values"], d["degree"], d["lambda"],
+                                        kernel, d["replicas"], d["seed"],
+                                        **_given(d, "within_factor"))
     failures = []
     rows = []
     for pt in rep.points:
@@ -589,15 +571,13 @@ def _run_path(config, stream):
 
 def _run_phase(config, stream):
     d = config.data
-    alphas = d.get("alpha_values", [d.get("alpha")])
-    etas = d.get("eta_values", [d.get("eta")])
+    sigma = d.get("sigma", KernelSpec.sigma)
+    options = _given(d, "tail_param", "offspring_min_one")
     rows = []
-    for a in alphas:
-        for e in etas:
-            res = closedform.phase_classify(a, d.get("sigma", 1.0), e, d["tail"],
-                                            tail_param=d.get("tail_param"),
-                                            offspring_min_one=d.get("offspring_min_one", False))
-            rows.append({"alpha": a, "eta": e, "sigma": d.get("sigma", 1.0),
+    for a in d.get("alpha_values", [d.get("alpha")]):
+        for e in d.get("eta_values", [d.get("eta")]):
+            res = closedform.phase_classify(a, sigma, e, d["tail"], **options)
+            rows.append({"alpha": a, "eta": e, "sigma": sigma,
                          "tail": d["tail"], "regime": res.regime,
                          "lambda2_finite": res.lambda2_finite, "rule": res.rule})
             stream.write(f"alpha={a} eta={e}: {res.regime}\n")
@@ -616,40 +596,29 @@ def _run_edge_law(config, stream):
     for t in d.get("tail_times", [0.5, 1.0, 2.0]):
         if p > 0:
             report[f"tail_at_{t}"] = closedform.transmission_time_tail(law, t)
-    _print_kv("", report, stream)
-    rows = [{"key": k, "value": vv} for k, vv in sorted(report.items())]
-    return [], rows, None, report
+    return _kv_result(report, stream)
 
 
 def _run_oracle(config, stream):
     d = config.data
-    spec = build_graph_spec(d["graph"])
-    g, init_default = spec.build(0)
-    if g.lazy:
-        raise experiments.ExperimentError("oracle needs a finite graph")
+    g, init = build_graph_spec(d["graph"]).build(0)
     kernel = build_kernel(d["kernel"])
     model = oracle.build_exact(g, kernel, d["lambda"])
-    init = oracle.initial_distribution(model, d.get("init", sorted(init_default)))
-    p_alive = oracle.transient_prob(model, init, d["t"], lambda c, b: c != 0)
-    stats = oracle.extinction_stats(model, init)
-    report = {"n_states": model.n_states, "t": d["t"],
-              "p_alive_at_t": p_alive, "p_extinct": stats.p_extinct,
-              "mean_extinction_time": stats.mean_time}
-    _print_kv("", report, stream)
-    rows = [{"key": k, "value": vv} for k, vv in sorted(report.items())]
-    return [], rows, None, report
+    start = oracle.initial_distribution(model, sorted(init))
+    p_alive = oracle.transient_prob(model, start, d["t"], lambda c, b: c != 0)
+    stats = oracle.extinction_stats(model, start)
+    return _kv_result({"n_states": model.n_states, "t": d["t"],
+                       "p_alive_at_t": p_alive, "p_extinct": stats.p_extinct,
+                       "mean_extinction_time": stats.mean_time}, stream)
 
 
 def _run_check(config, stream):
     d = config.data
-    spec = build_graph_spec(d["graph"])
-    g, _ = spec.build(0)
-    if g.lazy:
-        raise experiments.ExperimentError("condition checking needs a finite graph")
+    g, _ = build_graph_spec(d["graph"]).build(0)
     kernel = build_kernel(d["kernel"])
-    weight = build_weight(d.get("weight"))
+    options = {"weight": lyapunov.WeightFunction(**d["weight"])} if "weight" in d else {}
     lam = d.get("lambda")
-    rep = lyapunov.check_conditions(g, kernel, weight, lam=lam)
+    rep = lyapunov.check_conditions(g, kernel, lam=lam, **options)
     report = {"K": rep.K, "v_min": rep.v_min, "lambda_star": rep.lambda_star,
               "weighted_ratio_max": rep.weighted_ratio_max,
               "damping_sum_max": rep.damping_sum_max}
@@ -657,9 +626,7 @@ def _run_check(config, stream):
         report["lambda"] = lam
         report["theta"] = rep.theta
         report["theta_negative"] = rep.theta < 0
-    _print_kv("", report, stream)
-    rows = [{"key": k, "value": vv} for k, vv in sorted(report.items())]
-    return [], rows, None, report
+    return _kv_result(report, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -674,26 +641,24 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="replica parallelism")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="replica parallelism (simulate only)")
     parser.add_argument("--out", default=None, help="artifact directory")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
-            text = fh.read()
+            data = json.load(fh)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not text
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.threads is not None:
-        data["threads"] = args.threads
+    if isinstance(data, dict):
+        data.update({k: v for k, v in (("seed", args.seed), ("threads", args.threads))
+                     if v is not None})
     try:
-        config = parse_config(json.dumps(data), args.subcommand)
+        config = _config_from_data(data, args.subcommand)
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

@@ -213,7 +213,8 @@ class Simulation:
     # -- public stepping ------------------------------------------------------
 
     def step(self):
-        """Process the earliest event. Returns (t, kind, u, v) or None when done."""
+        """Process the earliest event. Returns its heap item (t, seq, kind, u, v),
+        or None when done."""
         if self.done:
             return None
         queue = self._queue
@@ -347,8 +348,16 @@ class Simulation:
 def run_replica(graph: GraphView, kernel: KernelSpec, lam: float, variant: str,
                 init, caps: Caps, seed: int, allowed=None,
                 bg_mode: str = "explicit", snapshot_times=(), target=None) -> TrajectoryRecord:
-    """Run one replica to extinction or censoring; deterministic given seed."""
+    """Run one replica to extinction or censoring; deterministic given seed.
+
+    The wait-and-see process has no background, no vertex restriction, no
+    target and no snapshots here: those arguments raise ValueError with it.
+    """
     if variant == WAIT_AND_SEE:
+        if (allowed is not None or target is not None or snapshot_times
+                or bg_mode != "explicit"):
+            raise ValueError(f"variant {WAIT_AND_SEE!r} reads none of allowed, target, "
+                             f"snapshot_times and bg_mode")
         rec, _ = WaitSeeSimulation(graph, kernel, lam, init, caps, seed).run()
         return rec
     sim = Simulation(graph, kernel, lam, variant, init, caps, seed,

@@ -458,18 +458,30 @@ def save_edge_list(g: GraphView, path: str) -> None:
 
 
 def load_edge_list(path: str) -> GraphView:
+    """Read a `#vertices N` header and one `u v` pair per line.
+
+    Raises GraphError naming the path (and the line) for an unreadable file
+    or a malformed line.
+    """
     edges = []
     declared = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#vertices"):
-                declared = int(line.split()[1])
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                fields = line.split()
+                if not fields:
+                    continue
+                try:
+                    if fields[0] == "#vertices":
+                        (declared,) = map(int, fields[1:])
+                        continue
+                    u, v = map(int, fields)
+                except ValueError:
+                    raise GraphError(f"{path}:{lineno}: expected 'u v' or "
+                                     f"'#vertices N', got {line.strip()!r}") from None
+                edges.append((u, v))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read edge list {path}: {exc}") from None
     g = build_finite(edges)
     if declared is not None and declared != g.n_vertices:
         raise GraphError(f"header declares {declared} vertices, edge list spans {g.n_vertices}")

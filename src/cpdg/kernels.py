@@ -94,13 +94,21 @@ def _custom_lookup(custom, dx, dy):
 def load_kernel_table(path: str) -> dict:
     """Read a custom connection-probability table ("n m p" per line)."""
     table = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            n, m, p = line.split()
-            table[(min(int(n), int(m)), max(int(n), int(m)))] = float(p)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    n, m, p = line.split()
+                    n, m, p = int(n), int(m), float(p)
+                except ValueError:
+                    raise KernelError(f"{path}:{lineno}: expected 'n m p', "
+                                      f"got {line!r}") from None
+                table[(min(n, m), max(n, m))] = p
+    except (OSError, UnicodeDecodeError) as exc:
+        raise KernelError(f"cannot read kernel table {path}: {exc}") from None
     if not table:
         raise KernelError(f"kernel table {path} is empty")
     return table

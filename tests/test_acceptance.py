@@ -14,9 +14,8 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from cpdg import cli, closedform, engine, experiments, kernels, lyapunov, oracle
+from cpdg import cli, closedform, experiments, kernels, lyapunov, oracle
 from cpdg.engine import CPDG, Caps, Simulation, run_coupled, run_waitandsee_dominating
 from cpdg.graph import build_finite, deterministic, power_law
 from cpdg.kernels import KernelSpec, PercolatedOffspring

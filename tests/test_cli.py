@@ -151,3 +151,136 @@ class TestArtifacts:
         _, _, c1 = run_dispatch("simulate", {**base, "seed": 1}, out_dir=str(tmp_path / "a"))
         _, _, c2 = run_dispatch("simulate", {**base, "seed": 2}, out_dir=str(tmp_path / "b"))
         assert c1.config_hash != c2.config_hash
+
+
+K2 = {"kind": "finite", "edges": [[0, 1]]}
+SIM = {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "horizon": 1.0, "replicas": 5}
+STAR = {"kernel": {"alpha": 0.2, "sigma": 0.0}, "dist": {"kind": "deterministic", "d": 2},
+        "n_values": [20], "degree_bound": 4, "replicas": 5}
+
+
+def violations(subcommand, cfg):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(cfg), subcommand)
+    return err.value.violations
+
+
+class TestKeysRead:
+    """Every key a subcommand accepts is one it reads."""
+
+    def test_dist_keys_follow_kind(self):
+        dist = {"kind": "deterministic", "d": 2, "b": 9.0, "q": 0.3}
+        assert violations("star", {**STAR, "dist": dist, "stability_only": True}) == [
+            "dist.b: unknown key", "dist.q: unknown key"]
+
+    def test_graph_keys_follow_kind(self):
+        bgw = {"kind": "bgw", "dist": {"kind": "power_law", "b": 2.5},
+               "init": [0], "edges": [[0, 1]]}
+        assert violations("simulate", {**SIM, "graph": bgw}) == [
+            "graph.init: unknown key", "graph.edges: unknown key"]
+        assert violations("simulate", {**SIM, "graph": {**K2, "max_vertices": 9}}) == [
+            "graph.max_vertices: unknown key"]
+
+    def test_threads_only_for_simulate(self, tmp_path, capsys):
+        parse_config(json.dumps({**SIM, "threads": 2}), "simulate")
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"lambda": 1.0, "v": 1.0, "p": 1.0}))
+        assert main(["edge-law", "--config", str(path), "--threads", "2"]) == 2
+        assert "config error: threads: unknown key" in capsys.readouterr().err
+
+    def test_lambda_grid_only_for_simulate(self):
+        path_cfg = {"kernel": {"alpha": 0.5}, "r_values": [2], "degree": 3,
+                    "lambda": [0.5, 5.0], "replicas": 5}
+        assert violations("path", path_cfg) == ["lambda: must be a number"]
+        assert violations("star", {**STAR, "lambda": [0.4, 1.0]}) == ["lambda: must be a number"]
+
+    def test_star_lambda_rules(self):
+        assert violations("star", STAR) == ["lambda: missing required key"]
+        stable = {**STAR, "stability_only": True}
+        assert violations("star", {**stable, "lambda": 0.4, "max_windows": 8}) == [
+            "lambda: unknown key", "max_windows: unknown key"]
+
+    def test_bg_mode_only_for_cpdg(self):
+        parse_config(json.dumps({**SIM, "bg_mode": "thinned"}), "simulate")
+        for variant in ("wait_and_see", "penalised", "lower_bound"):
+            assert violations("simulate", {**SIM, "variant": variant, "bg_mode": "thinned"}) == [
+                "bg_mode: unknown key"]
+
+    def test_one_initial_set(self):
+        oracle_cfg = {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}
+        assert violations("oracle", {**oracle_cfg, "init": [1]}) == ["init: unknown key"]
+        check_cfg = {"graph": {**K2, "init": [1]}, "kernel": {"alpha": 0.5}}
+        assert violations("check", check_cfg) == ["graph.init: unknown key"]
+
+    def test_oracle_reads_graph_init(self):
+        cfg = {"graph": {"kind": "finite", "edges": [[0, 1], [1, 2]]},
+               "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 0.0}
+        outs = [run_dispatch("oracle", {**cfg, "graph": {**cfg["graph"], "init": init}})[1]
+                for init in ([0], [0, 1, 2])]
+        assert outs[0] != outs[1]
+
+    def test_kind_dependent_keys_elsewhere(self):
+        phase = {"alpha": 0.3, "eta": 0.1, "tail": "power_law", "tail_param": 2.5}
+        assert violations("phase", phase) == ["tail_param: unknown key"]
+        check_cfg = {"graph": K2, "kernel": {"alpha": 0.5},
+                     "weight": {"kind": "linear", "beta": 2.0}}
+        assert violations("check", check_cfg) == ["weight.beta: unknown key"]
+
+    def test_finite_graphs_only_where_needed(self):
+        bgw = {"kind": "bgw", "dist": {"kind": "power_law", "b": 2.5}}
+        assert violations("check", {"graph": bgw, "kernel": {"alpha": 0.5}}) == [
+            "graph.kind: must be one of ['finite', 'finite_file']"]
+
+
+class TestConfigHash:
+    def test_hash_ignores_threads_and_out(self):
+        hashes = {parse_config(json.dumps(cfg), "simulate").config_hash
+                  for cfg in (SIM, {**SIM, "threads": 1}, {**SIM, "threads": 2},
+                              {**SIM, "out": "somewhere"})}
+        assert len(hashes) == 1
+        assert parse_config(json.dumps({**SIM, "seed": 1}), "simulate").config_hash not in hashes
+
+    def test_artifacts_equal_across_thread_counts(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**SIM, "records": True}))
+        for threads in ("1", "2"):
+            assert main(["simulate", "--config", str(path), "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+        for name in ("summary.csv", "records.jsonl", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+class TestErrorExits:
+    """Inputs the schema cannot see exit 2 with an `error:` line."""
+
+    def test_oracle_state_cap(self):
+        cfg = {"graph": {"kind": "finite", "edges": [[i, i + 1] for i in range(12)]},
+               "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}
+        rc, out, _ = run_dispatch("oracle", cfg)
+        assert rc == 2
+        assert out.startswith("error: 2^(13+12) = 33554432 states exceeds the cap")
+
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("simulate", SIM),
+        ("oracle", {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}),
+    ])
+    def test_init_outside_graph(self, subcommand, cfg):
+        rc, out, _ = run_dispatch(subcommand, {**cfg, "graph": {**K2, "init": [7]}})
+        assert rc == 2
+        assert out == "error: graph.init: vertex 7 is not in the graph (vertices 0..1)\n"
+
+    @pytest.mark.parametrize("content", [None, b"0 1 2\n", b"\xff\xfe0 1\n"])
+    def test_bad_edge_file(self, tmp_path, content):
+        path = tmp_path / "edges.txt"
+        if content is not None:
+            path.write_bytes(content)
+        rc, out, _ = run_dispatch("simulate", {**SIM, "graph": {"kind": "finite_file",
+                                                                "path": str(path)}})
+        assert rc == 2
+        assert out.startswith("error: ") and "edges.txt" in out
+
+    def test_non_object_config_with_seed(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["edge-law", "--config", str(path), "--seed", "3"]) == 2
+        assert "config error: <root>: must be an object" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from cpdg import closedform as cf
-from cpdg.graph import deterministic, geometric, tabulated
+from cpdg.graph import deterministic, geometric
 from cpdg.kernels import KernelSpec
 
 from _oracles import simulate_edge_race, simulate_geometric_sum

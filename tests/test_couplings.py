@@ -1,6 +1,5 @@
 import pytest
 
-from cpdg import engine
 from cpdg.engine import Caps, run_coupled, run_coupled_lambda, run_waitandsee_dominating
 from cpdg.graph import build_finite
 from cpdg.kernels import KernelSpec

@@ -253,6 +253,13 @@ class TestWaitAndSee:
                           caps, seed=2)
         assert rec.outcome == engine.CAP
 
+    @pytest.mark.parametrize("kwargs", [{"allowed": frozenset({0, 1})}, {"target": 1},
+                                        {"snapshot_times": (1.0,)}, {"bg_mode": "thinned"}])
+    def test_run_replica_rejects_arguments_it_would_ignore(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            run_replica(K2, SIGMA_HALF, 1.0, engine.WAIT_AND_SEE, {0},
+                        Caps(horizon=5.0), seed=1, **kwargs)
+
     def test_no_snapshots_after_early_stop(self):
         # stopping at extinction leaves revealed edges to evolve unobserved
         sim = WaitSeeSimulation(K2, KernelSpec(alpha=0.0), 5.0, {0},

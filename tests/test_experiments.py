@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import stats
 
-from cpdg import engine, experiments
+from cpdg import engine
 from cpdg.experiments import (BGWGraphSpec, ExperimentError, FiniteGraphSpec,
                               bracket_lambda, estimate_survival,
                               path_graph_with_degree, path_transmission,

@@ -238,3 +238,14 @@ class TestDumpLoad:
         path.write_text("#vertices 5\n0 1\n")
         with pytest.raises(GraphError, match="header"):
             load_edge_list(str(path))
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(GraphError, match="absent.txt"):
+            load_edge_list(str(path))
+
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("#vertices 3\n0 1\n0 1 2\n")
+        with pytest.raises(GraphError, match=r"bad\.txt:3: "):
+            load_edge_list(str(path))

@@ -111,6 +111,17 @@ class TestKernelTable(object):
         with pytest.raises(KernelError, match="no entry"):
             p_value(spec, 3, 3)
 
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(KernelError, match="absent.txt"):
+            load_kernel_table(str(path))
+
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("# n m p\n1 1\n")
+        with pytest.raises(KernelError, match=r"table\.txt:2: "):
+            load_kernel_table(str(path))
+
 
 class TestPercolatedOffspring:
     def test_no_thinning(self):
