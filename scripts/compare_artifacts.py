@@ -10,8 +10,10 @@ changes config hashes passes. Prints one line per config; exits 1 on any
 difference.
 
 The configs: both determinism configs of the acceptance suite, one config
-per subcommand, and batch 0 (seed 601) of the `bgw_survival` and
-`star_samplers` benchmark workloads.
+per subcommand, one `simulate` config (with records) for each engine path
+the others leave out (the `wait_and_see`, `penalised` and `lower_bound`
+variants and the thinned CPDG background), and batch 0 (seed 601) of the
+`bgw_survival` and `star_samplers` benchmark workloads.
 """
 
 import json
@@ -65,6 +67,13 @@ def configs():
                             "kernel": {"alpha": 1.2, "sigma": 1.0}, "lambda": 0.05,
                             "weight": {"kind": "linear"}}),
     ]
+    star_sim = {"graph": STAR3, "kernel": {"alpha": 0.5}, "lambda": 3.0, "horizon": 10.0,
+                "replicas": 200, "records": True, "seed": 7}
+    out += [(f"simulate {label}", "simulate", {**star_sim, **extra})
+            for label, extra in (("wait_and_see", {"variant": "wait_and_see"}),
+                                 ("penalised", {"variant": "penalised"}),
+                                 ("lower_bound", {"variant": "lower_bound"}),
+                                 ("cpdg thinned", {"bg_mode": "thinned"}))]
     with tempfile.TemporaryDirectory() as scratch:
         out.append(("bgw_survival batch 0", "simulate",
                      workloads.BGWSurvival(601, "full", scratch).config(0)))

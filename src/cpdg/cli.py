@@ -162,6 +162,8 @@ _KERNEL_SCHEMA = {
     "nu": (False, _num(0.0, strict_lo=True)),
     "table": (False, _string()),
 }
+# a kernel table replaces the built-in p, and with it these keys
+_TABLE_REPLACES = ("sigma", "kappa")
 
 _WEIGHT_SCHEMA = _Switch({"linear": {}, "power": {"beta": (False, _num())},
                           "constant": {}})
@@ -276,11 +278,14 @@ def _validate(block, schema, path, errors):
 
 
 def _semantic_errors(subcommand, data):
-    if subcommand != "phase":
-        return []
-    return [f"phase: give exactly one of {one} / {grid}"
-            for one, grid in (("alpha", "alpha_values"), ("eta", "eta_values"))
-            if (one in data) == (grid in data)]
+    kernel = data.get("kernel", {})
+    errors = [f"kernel.{key}: not read beside kernel.table"
+              for key in _TABLE_REPLACES if key in kernel and "table" in kernel]
+    if subcommand == "edge-law" and data["p"] == 0 and "tail_times" in data:
+        errors.append("tail_times: needs p > 0 (an edge with p = 0 never transmits)")
+    return errors + [f"phase: give exactly one of {one} / {grid}"
+                     for one, grid in (("alpha", "alpha_values"), ("eta", "eta_values"))
+                     if subcommand == "phase" and (one in data) == (grid in data)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,7 +306,9 @@ _KERNEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(KernelSpec)
 def canonicalize(subcommand: str, data: dict) -> dict:
     out = {"seed": 0, **data}
     if "kernel" in out:
-        out["kernel"] = {**_KERNEL_DEFAULTS, **out["kernel"]}
+        unread = _TABLE_REPLACES if "table" in out["kernel"] else ()
+        out["kernel"] = {**{k: v for k, v in _KERNEL_DEFAULTS.items() if k not in unread},
+                         **out["kernel"]}
     return out
 
 
@@ -593,9 +600,8 @@ def _run_edge_law(config, stream):
         "rate_a": law.a, "rate_b": law.b,
         "lower_bound_rate": closedform.lower_bound_rate(lam, v, p),
     }
-    for t in d.get("tail_times", [0.5, 1.0, 2.0]):
-        if p > 0:
-            report[f"tail_at_{t}"] = closedform.transmission_time_tail(law, t)
+    for t in d.get("tail_times", [0.5, 1.0, 2.0]) if p > 0 else ():
+        report[f"tail_at_{t}"] = closedform.transmission_time_tail(law, t)
     return _kv_result(report, stream)
 
 

@@ -9,7 +9,12 @@ edge by its ``(min, max)`` vertex pair.
 
 Three families of runners live here:
 
-* ``Simulation`` / ``run_replica`` - the production path (single fast RNG).
+* ``Simulation`` / ``run_replica`` - the production path (single fast RNG)
+  for all four processes: the CPDG (explicit or thinned background), the
+  static-rate ``penalised`` and ``lower_bound`` variants, and the dominating
+  wait-and-see process. One event loop serves them; caps, tree-truncation
+  censoring, root-reinfection records, ``target``, ``allowed`` and
+  snapshots work alike for every variant.
 * ``KeyedSimulation`` - per-edge / per-vertex seeded streams with replayed
   activation, used to check that adaptive (lazy) activation and activating
   everything at time zero (``_eager_setup``) give bit-identical trajectories.
@@ -75,35 +80,43 @@ class TrajectoryRecord:
         return self.outcome == EXTINCT
 
 
-# edge record slots (fast mode)
+# edge record slots; in the wait-and-see process _OPEN means "revealed"
 _OPEN = 0
 _TIME = 1
-_UP = 2  # update clock scheduled
+_UP = 2  # update clock scheduled (CPDG, explicit background)
 _INF = 3  # infection clock scheduled
 _P = 4
 _V = 5
 _RATE = 6
+_REV = 7  # reveal clock scheduled (wait-and-see)
 
 
 class Simulation:
-    """One replica of the CPDG (or a static-rate variant) on a graph view."""
+    """One replica of the CPDG, a static-rate variant or the wait-and-see process.
+
+    The wait-and-see process tracks revealed edges instead of open ones. Every
+    edge starts unrevealed; an unrevealed edge touching the infection reveals
+    at rate lam * p(dx, dy) and transmits as it does, and a revealed edge
+    carries a rate-lam infection clock and unreveals at rate v(dx, dy).
+    """
 
     __slots__ = (
         "graph", "kernel", "lam", "variant", "caps", "seed",
         "infected", "edges", "clock", "done", "outcome", "peak",
         "events", "snapshots", "_queue", "_seq", "_rng", "_root",
-        "_root_absent", "_reinf", "_allowed", "_thinned", "_has_bg", "_target",
-        "event_log",
+        "_root_absent", "_reinf", "_allowed", "_thinned", "_has_bg", "_ws", "_target",
     )
 
     def __init__(self, graph: GraphView, kernel: KernelSpec, lam: float,
                  variant: str, init, caps: Caps, seed: int,
-                 allowed=None, bg_mode: str = "explicit", target=None,
-                 event_log=None):
+                 allowed=None, bg_mode: str = "explicit", target=None):
         if lam < 0:
             raise ValueError("infection rate must be >= 0")
         if bg_mode not in ("explicit", "thinned"):
             raise ValueError(f"unknown bg_mode {bg_mode!r}")
+        if bg_mode == "thinned" and variant != CPDG:
+            raise ValueError(f"bg_mode 'thinned' thins the background of variant {CPDG!r}; "
+                             f"{variant!r} has none")
         self.graph = graph
         self.kernel = kernel
         self.lam = lam
@@ -127,14 +140,12 @@ class Simulation:
         self._allowed = allowed
         self._thinned = bg_mode == "thinned"
         self._has_bg = variant == CPDG
+        self._ws = variant == WAIT_AND_SEE
         self._target = target
-        self.event_log = event_log  # optional list of "t kind payload" lines
-        try:
-            for x in sorted(set(init)):
-                self._infect(int(x), 0.0)
-        except TreeCapExceeded:
-            self.done = True
-            self.outcome = TRUNCATED_TREE
+        for x in sorted(set(init)):
+            self._infect(int(x), 0.0)
+            if self.outcome == TRUNCATED_TREE:
+                break
         if not self.infected and not self.done:
             self.done = True
             self.outcome = EXTINCT
@@ -142,7 +153,7 @@ class Simulation:
     # -- internals ----------------------------------------------------------
 
     def _edge_rate(self, p: float, v: float) -> float:
-        if self.variant == CPDG:
+        if self.variant in (CPDG, WAIT_AND_SEE):
             return self.lam
         if self.variant == PENALISED:
             return self.lam * p
@@ -155,6 +166,7 @@ class Simulation:
         heappush(self._queue, (t, self._seq, kind, u, v))
 
     def _infect(self, y: int, t: float):
+        """Infect y at time t; a tree too small for its neighbourhood censors."""
         infected = self.infected
         infected.add(y)
         n = len(infected)
@@ -172,22 +184,27 @@ class Simulation:
             return
         rng = self._rng
         self._push(t - math.log(rng.random()), RECOVER, y, -1)
-        self._activate_edges(y, t)
+        try:
+            self._activate_edges(y, t)
+        except TreeCapExceeded:
+            self.done = True
+            self.outcome = TRUNCATED_TREE
 
     def _edge(self, x: int, y: int, key: tuple, t: float, catch_up: bool) -> list:
         """Record of edge {x, y} at time t.
 
-        A new edge draws its state from the stationary law; with `catch_up`,
-        an edge without a pending update clock (always so in thinned mode) is
-        advanced to t by the exact two-state transition.
+        A new edge draws its state from the stationary law (it starts open
+        in the static-rate variants and unrevealed in wait-and-see); with
+        `catch_up`, an edge without a pending update clock (always so in
+        thinned mode) is advanced to t by the exact two-state transition.
         """
         e = self.edges.get(key)
         if e is None:
             dx, dy = self.graph.degree(x), self.graph.degree(y)
             p = p_value(self.kernel, dx, dy)
             v = v_value(self.kernel, dx, dy)
-            is_open = (self._rng.random() < p) if self._has_bg else True
-            e = [is_open, t, False, False, p, v, self._edge_rate(p, v)]
+            is_open = (self._rng.random() < p) if self._has_bg else not self._ws
+            e = [is_open, t, False, False, p, v, self._edge_rate(p, v), False]
             self.edges[key] = e
         elif catch_up and not e[_UP] and e[_TIME] < t:
             e[_OPEN] = self._rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
@@ -198,11 +215,18 @@ class Simulation:
         rng = self._rng
         allowed = self._allowed
         explicit = self._has_bg and not self._thinned
+        ws = self._ws
         for y in self.graph.neighbors(x):
             if allowed is not None and y not in allowed:
                 continue
             key = (x, y) if x < y else (y, x)
             e = self._edge(x, y, key, t, explicit)
+            if ws:
+                if not (e[_OPEN] or e[_REV]) and self.lam * e[_P] > 0.0:
+                    e[_REV] = True
+                    self._push(t - math.log(rng.random()) / (self.lam * e[_P]),
+                               REVEAL, key[0], key[1])
+                continue
             if explicit and not e[_UP]:
                 e[_UP] = True
                 self._push(t - math.log(rng.random()) / e[_V], UPDATE, key[0], key[1])
@@ -244,28 +268,16 @@ class Simulation:
             e = self.edges[(u, v)]
             ui = u in infected
             vi = v in infected
-            if not (ui or vi):
-                e[_INF] = False  # clock dies with the edge idle
-                if self.event_log is not None:
-                    self.event_log.append(f"{t:.9g} infect {u}-{v} idle")
+            if not (e[_OPEN] if self._ws else ui or vi):
+                e[_INF] = False  # clock dies with the edge idle (unrevealed, in wait-and-see)
                 return item
             if self._thinned and e[_TIME] < t:
                 e[_OPEN] = self._rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
                 e[_TIME] = t
-            transmitted = False
             if e[_OPEN] and ui != vi:
-                try:
-                    self._infect(v if ui else u, t)
-                    transmitted = True
-                except TreeCapExceeded:
-                    self.done = True
-                    self.outcome = TRUNCATED_TREE
-                    return item
+                self._infect(v if ui else u, t)
             if not self.done:
                 self._push(t - math.log(self._rng.random()) / e[_RATE], INFECT, u, v)
-            if self.event_log is not None:
-                effect = "transmit" if transmitted else ("closed" if not e[_OPEN] else "idle")
-                self.event_log.append(f"{t:.9g} infect {u}-{v} {effect}")
             return item
         if kind == RECOVER:
             infected.remove(u)
@@ -274,20 +286,39 @@ class Simulation:
             if not infected:
                 self.done = True
                 self.outcome = EXTINCT
-            if self.event_log is not None:
-                self.event_log.append(f"{t:.9g} recover {u}")
             return item
-        # UPDATE: redraw the edge state
         v = item[4]
         e = self.edges[(u, v)]
+        if kind == REVEAL:
+            # reveal and transmit, then arm the infection and unreveal clocks
+            e[_REV] = False
+            ui = u in infected
+            vi = v in infected
+            if not (ui or vi):
+                return item
+            e[_OPEN] = True
+            if ui != vi:
+                self._infect(v if ui else u, t)
+            if not self.done:
+                if not e[_INF]:
+                    e[_INF] = True
+                    self._push(t - math.log(self._rng.random()) / e[_RATE], INFECT, u, v)
+                self._push(t - math.log(self._rng.random()) / e[_V], UPDATE, u, v)
+            return item
+        if self._ws:
+            # UPDATE unreveals; an edge still touching the infection re-arms its reveal
+            e[_OPEN] = False
+            if u in infected or v in infected:
+                e[_REV] = True
+                self._push(t - math.log(self._rng.random()) / (self.lam * e[_P]), REVEAL, u, v)
+            return item
+        # UPDATE: redraw the edge state
         e[_OPEN] = self._rng.random() < e[_P]
         e[_TIME] = t
         if u in infected or v in infected:
             self._push(t - math.log(self._rng.random()) / e[_V], UPDATE, u, v)
         else:
             e[_UP] = False
-        if self.event_log is not None:
-            self.event_log.append(f"{t:.9g} update {u}-{v} {'open' if e[_OPEN] else 'closed'}")
         return item
 
     # -- state observation ----------------------------------------------------
@@ -299,11 +330,17 @@ class Simulation:
         return self._edge(u, v, (u, v) if u < v else (v, u), t, True)[_OPEN]
 
     def take_snapshot(self, t: float):
-        """Record (t, infected frozenset, open-edge frozenset) for a finite graph."""
-        open_edges = frozenset(
-            (u, v) for u, v in self.graph.edges() if self.resolve_edge_state(u, v, t)
-        ) if self._has_bg else frozenset()
-        self.snapshots.append((t, frozenset(self.infected), open_edges))
+        """Record (t, infected frozenset, edge frozenset): the open edges of a
+        finite graph in the CPDG, the revealed edges in wait-and-see, and no
+        edges in the static-rate variants."""
+        if self._ws:
+            shown = frozenset(key for key, e in self.edges.items() if e[_OPEN])
+        elif self._has_bg:
+            shown = frozenset((u, v) for u, v in self.graph.edges()
+                              if self.resolve_edge_state(u, v, t))
+        else:
+            shown = frozenset()
+        self.snapshots.append((t, frozenset(self.infected), shown))
 
     # -- driving ----------------------------------------------------------------
 
@@ -319,9 +356,10 @@ class Simulation:
                 si += 1
             self.step()
         if self.outcome == EXTINCT and si < len(snaps):
-            # the background keeps evolving after extinction, and pending
-            # update times carry real information (they are known to exceed
-            # the extinction time), so drain them instead of resampling
+            # the background (the revealed set, in wait-and-see) keeps
+            # evolving after extinction, and pending update times carry real
+            # information (they are known to exceed the extinction time), so
+            # drain them instead of resampling; other clocks no longer matter
             while si < len(snaps):
                 t_next = queue[0][0] if queue else math.inf
                 while si < len(snaps) and snaps[si] <= min(t_next, horizon):
@@ -330,13 +368,12 @@ class Simulation:
                 if si >= len(snaps) or not queue or t_next >= horizon:
                     break
                 _, _, kind, u, v = heappop(queue)
-                e = self.edges[(u, v)]
                 if kind == UPDATE:
-                    e[_OPEN] = self._rng.random() < e[_P]
+                    e = self.edges[(u, v)]
+                    # wait-and-see unreveals; the CPDG redraws and suspends
+                    e[_OPEN] = not self._ws and self._rng.random() < e[_P]
                     e[_TIME] = t_next
-                    e[_UP] = False  # nothing infected anymore; suspend
-                else:
-                    e[_INF] = False
+                    e[_UP] = False
         time = self.clock if self.outcome != HORIZON else horizon
         return TrajectoryRecord(
             outcome=self.outcome, time=time, peak_infected=self.peak,
@@ -348,195 +385,10 @@ class Simulation:
 def run_replica(graph: GraphView, kernel: KernelSpec, lam: float, variant: str,
                 init, caps: Caps, seed: int, allowed=None,
                 bg_mode: str = "explicit", snapshot_times=(), target=None) -> TrajectoryRecord:
-    """Run one replica to extinction or censoring; deterministic given seed.
-
-    The wait-and-see process has no background, no vertex restriction, no
-    target and no snapshots here: those arguments raise ValueError with it.
-    """
-    if variant == WAIT_AND_SEE:
-        if (allowed is not None or target is not None or snapshot_times
-                or bg_mode != "explicit"):
-            raise ValueError(f"variant {WAIT_AND_SEE!r} reads none of allowed, target, "
-                             f"snapshot_times and bg_mode")
-        rec, _ = WaitSeeSimulation(graph, kernel, lam, init, caps, seed).run()
-        return rec
+    """Run one replica to extinction or censoring; deterministic given seed."""
     sim = Simulation(graph, kernel, lam, variant, init, caps, seed,
                      allowed=allowed, bg_mode=bg_mode, target=target)
     return sim.run(snapshot_times=snapshot_times)
-
-
-# ---------------------------------------------------------------------------
-# wait-and-see process (standalone)
-# ---------------------------------------------------------------------------
-
-class WaitSeeSimulation:
-    """The dominating wait-and-see process: tracks revealed edges, not open ones.
-
-    Unrevealed edges touching the infection reveal (and infect) at rate
-    lam * p(dx, dy); revealed edges carry a rate-lam infection clock and
-    unreveal at rate v(dx, dy); recoveries at rate 1. Starts with no edge
-    revealed.
-    """
-
-    __slots__ = ("graph", "kernel", "lam", "caps", "seed", "infected",
-                 "revealed", "edges", "clock", "done", "outcome", "peak",
-                 "events", "extinction_time", "_queue", "_seq", "_rng",
-                 "_run_to_horizon")
-
-    # edge record: [revealed, rev_sched, inf_sched, unrev_sched, p, v]
-
-    def __init__(self, graph, kernel, lam, init, caps, seed,
-                 run_to_horizon=False):
-        self.graph = graph
-        self.kernel = kernel
-        self.lam = lam
-        self.caps = caps
-        self.seed = seed
-        self.infected = set()
-        self.revealed = set()
-        self.edges = {}
-        self.clock = 0.0
-        self.done = False
-        self.outcome = None
-        self.peak = 0
-        self.events = 0
-        self.extinction_time = math.inf
-        self._queue = []
-        self._seq = 0
-        self._rng = random.Random(mix(seed, TAG_SIM))
-        self._run_to_horizon = run_to_horizon
-        for x in sorted(set(init)):
-            self._infect(int(x), 0.0)
-        if not self.infected:
-            self.extinction_time = 0.0
-            if not run_to_horizon:
-                self.done = True
-                self.outcome = EXTINCT
-
-    def _push(self, t, kind, u, v):
-        self._seq += 1
-        heappush(self._queue, (t, self._seq, kind, u, v))
-
-    def _infect(self, y, t):
-        self.infected.add(y)
-        if len(self.infected) > self.peak:
-            self.peak = len(self.infected)
-        if len(self.infected) > self.caps.max_infected:
-            self.done = True
-            self.outcome = CAP
-            return
-        rng = self._rng
-        self._push(t - math.log(rng.random()), RECOVER, y, -1)
-        dx = self.graph.degree(y)
-        for z in self.graph.neighbors(y):
-            key = (y, z) if y < z else (z, y)
-            e = self.edges.get(key)
-            if e is None:
-                p = p_value(self.kernel, dx, self.graph.degree(z))
-                v = v_value(self.kernel, dx, self.graph.degree(z))
-                e = [False, False, False, False, p, v]
-                self.edges[key] = e
-            if not e[0] and not e[1] and self.lam * e[4] > 0.0:
-                e[1] = True
-                self._push(t - math.log(rng.random()) / (self.lam * e[4]), REVEAL, key[0], key[1])
-
-    def step(self):
-        if self.done:
-            return None
-        queue = self._queue
-        if not queue:
-            self.done = True
-            self.outcome = EXTINCT if not self.infected else HORIZON
-            return None
-        item = heappop(queue)
-        t = item[0]
-        if t >= self.caps.horizon:
-            self.clock = self.caps.horizon
-            self.done = True
-            self.outcome = HORIZON if self.infected else EXTINCT
-            return None
-        self.clock = t
-        self.events += 1
-        if self.events > self.caps.max_events:
-            self.done = True
-            self.outcome = CAP
-            return None
-        kind, u, v = item[2], item[3], item[4]
-        rng = self._rng
-        infected = self.infected
-        if kind == RECOVER:
-            infected.remove(u)
-            if not infected and self.extinction_time == math.inf:
-                self.extinction_time = t
-                if not self._run_to_horizon:
-                    self.done = True
-                    self.outcome = EXTINCT
-            return item
-        key = (u, v)
-        e = self.edges[key]
-        ui = u in infected
-        vi = v in infected
-        if kind == REVEAL:
-            e[1] = False
-            if e[0] or not (ui or vi):
-                return item
-            e[0] = True
-            self.revealed.add(key)
-            if ui != vi:
-                self._infect(v if ui else u, t)
-            if not self.done:
-                if not e[2]:
-                    e[2] = True
-                    self._push(t - math.log(rng.random()) / self.lam, INFECT, u, v)
-                if not e[3]:
-                    e[3] = True
-                    self._push(t - math.log(rng.random()) / e[5], UPDATE, u, v)
-            return item
-        if kind == INFECT:
-            if not e[0]:
-                e[2] = False
-                return item
-            if ui != vi:
-                self._infect(v if ui else u, t)
-            if not self.done:
-                self._push(t - math.log(rng.random()) / self.lam, INFECT, u, v)
-            return item
-        # UPDATE = unreveal
-        e[0] = False
-        e[3] = False
-        self.revealed.discard(key)
-        if (ui or vi) and not e[1] and self.lam * e[4] > 0.0:
-            e[1] = True
-            self._push(t - math.log(rng.random()) / (self.lam * e[4]), REVEAL, u, v)
-        return item
-
-    def state(self):
-        """(infected frozenset, revealed edge-pair frozenset)."""
-        return frozenset(self.infected), frozenset(self.revealed)
-
-    def run(self, snapshot_times=()):
-        snaps = sorted(snapshot_times)
-        si = 0
-        out = []
-        while not self.done:
-            t_next = self._queue[0][0] if self._queue else math.inf
-            while si < len(snaps) and snaps[si] <= min(t_next, self.caps.horizon):
-                out.append((snaps[si],) + self.state())
-                si += 1
-            self.step()
-        while not self._queue and si < len(snaps) and snaps[si] <= self.caps.horizon:
-            # queue drained: no infection and no revealed edges remain; a run
-            # stopped early (cap, or extinction without run_to_horizon) leaves
-            # the later states unknown, so it reports no snapshot for them
-            out.append((snaps[si],) + self.state())
-            si += 1
-        time = self.extinction_time if self.extinction_time < math.inf else self.clock
-        rec = TrajectoryRecord(
-            outcome=EXTINCT if self.extinction_time < math.inf else (self.outcome or HORIZON),
-            time=time, peak_infected=self.peak, total_events=self.events,
-            root_reinfections=(), seed=self.seed,
-        )
-        return rec, out
 
 
 # ---------------------------------------------------------------------------

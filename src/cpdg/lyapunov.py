@@ -12,12 +12,12 @@ weights (R and Q sums) and is bounded below by the infected count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .closedform import ConditionError
-from .engine import Caps, WaitSeeSimulation
+from .engine import WAIT_AND_SEE, Caps, Simulation
 from .graph import GraphView
 from .kernels import KernelSpec, p_value, v_value
 from .rng import replica_seed
@@ -109,11 +109,7 @@ def check_conditions(graph: GraphView, kernel: KernelSpec,
     report = LyapunovReport(K=big_k, v_min=v_min, lam=lam, theta=None,
                             lambda_star=lam_star, weighted_ratio_max=ratio_max,
                             damping_sum_max=damp_max)
-    if lam is not None:
-        report = LyapunovReport(K=big_k, v_min=v_min, lam=lam,
-                                theta=report.theta_at(lam), lambda_star=lam_star,
-                                weighted_ratio_max=ratio_max, damping_sum_max=damp_max)
-    return report
+    return report if lam is None else replace(report, theta=report.theta_at(lam))
 
 
 def f_value(infected, revealed_pairs, graph: GraphView, kernel: KernelSpec,
@@ -170,10 +166,9 @@ def supermartingale_trace(graph: GraphView, kernel: KernelSpec, lam: float,
     caps = Caps(horizon=times[-1] + 1e-9)
     samples = np.empty((replicas, len(times)))
     for i in range(replicas):
-        sim = WaitSeeSimulation(graph, kernel, lam, init, caps,
-                                replica_seed(seed, i), run_to_horizon=True)
-        _, snaps = sim.run(snapshot_times=times)
-        for j, (t, infected, revealed) in enumerate(snaps):
+        sim = Simulation(graph, kernel, lam, WAIT_AND_SEE, init, caps, replica_seed(seed, i))
+        sim.run(snapshot_times=times)
+        for j, (t, infected, revealed) in enumerate(sim.snapshots):
             val = f_value(infected, revealed, graph, kernel, lam, weight)
             if val < len(infected) - 1e-9:
                 raise AssertionError("f must dominate the infected count")

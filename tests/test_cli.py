@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -114,6 +115,20 @@ class TestDispatch:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert "no entry" in report["report"]["failure"]
 
+    def test_wait_and_see_censors_truncated_trees(self, tmp_path):
+        # a lazy tree capped at 20 vertices is outgrown at lam = 4; the
+        # replicas that outgrow it are censored, as in the CPDG
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            "graph": {"kind": "bgw", "dist": {"kind": "power_law", "b": 2.5},
+                      "max_vertices": 20},
+            "kernel": {"alpha": 0.5}, "lambda": 4.0, "horizon": 5.0, "replicas": 30,
+            "variant": "wait_and_see", "seed": 1}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "summary.csv") as fh:
+            row = list(csv.DictReader(line for line in fh if not line.startswith("#")))[0]
+        assert int(row["censored"]) > 0
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"lambda": 1.0}')
@@ -205,6 +220,29 @@ class TestKeysRead:
         for variant in ("wait_and_see", "penalised", "lower_bound"):
             assert violations("simulate", {**SIM, "variant": variant, "bg_mode": "thinned"}) == [
                 "bg_mode: unknown key"]
+
+    def test_table_replaces_sigma_and_kappa(self, tmp_path, capsys):
+        table = {"alpha": 0.5, "table": "kernel.txt"}
+        assert violations("simulate", {**SIM, "kernel": {**table, "sigma": 0.3, "kappa": 2.0}}) == [
+            "kernel.sigma: not read beside kernel.table",
+            "kernel.kappa: not read beside kernel.table"]
+        assert violations("oracle", {"graph": K2, "kernel": {**table, "sigma": 1.0},
+                                     "lambda": 1.0, "t": 1.0}) == [
+            "kernel.sigma: not read beside kernel.table"]
+        canon = parse_config(json.dumps({**SIM, "kernel": table}), "simulate").data["kernel"]
+        assert "sigma" not in canon and "kappa" not in canon and canon["nu"] == 1.0
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**SIM, "kernel": {**table, "sigma": 0.3}}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error: kernel.sigma: " in capsys.readouterr().err
+
+    def test_edge_law_tails_need_an_open_edge(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"lambda": 1, "v": 1, "p": 0, "tail_times": [0.5, 1]}))
+        assert main(["edge-law", "--config", str(path)]) == 2
+        assert "config error: tail_times: " in capsys.readouterr().err
+        rc, out, _ = run_dispatch("edge-law", {"lambda": 1, "v": 1, "p": 0})
+        assert rc == 0 and "tail_at" not in out
 
     def test_one_initial_set(self):
         oracle_cfg = {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}

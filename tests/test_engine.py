@@ -6,9 +6,9 @@ import pytest
 from scipy import stats
 
 from cpdg import engine
-from cpdg.engine import (CPDG, PENALISED, Caps, KeyedSimulation, Simulation,
-                         WaitSeeSimulation, run_coupled, run_coupled_lambda,
-                         run_replica, run_waitandsee_dominating)
+from cpdg.engine import (CPDG, PENALISED, WAIT_AND_SEE, Caps, KeyedSimulation,
+                         Simulation, run_coupled, run_coupled_lambda, run_replica,
+                         run_waitandsee_dominating)
 from cpdg.graph import (GraphView, TreeCaps, build_finite, deterministic, grow_bgw,
                         power_law)
 from cpdg.kernels import KernelSpec
@@ -72,16 +72,12 @@ class TestBasics:
         # each edge's first attempt beats its sender's recovery w.p. 5/6
         assert hits >= 0.6 * 500
 
-    def test_event_log_format(self):
-        log = []
-        sim = Simulation(STAR3, SIGMA_HALF, 1.5, CPDG, {0}, Caps(horizon=6.0),
-                         seed=8, event_log=log)
-        sim.run()
-        assert len(log) == sim.events
-        kinds = {line.split()[1] for line in log}
-        assert kinds <= {"update", "infect", "recover"}
-        times = [float(line.split()[0]) for line in log]
-        assert times == sorted(times)
+    def test_step_order(self):
+        sim = Simulation(STAR3, SIGMA_HALF, 1.5, CPDG, {0}, Caps(horizon=6.0), seed=8)
+        items = list(iter(sim.step, None))
+        assert len(items) == sim.events
+        assert {item[2] for item in items} <= {engine.UPDATE, engine.INFECT, engine.RECOVER}
+        assert [item[:2] for item in items] == sorted(item[:2] for item in items)
 
 
 class TestPureDeath:
@@ -214,6 +210,14 @@ class TestVariants:
             alive_pen += b.outcome == engine.HORIZON
         assert alive_lower <= alive_pen + 3 * math.sqrt(n * 0.25)
 
+    @pytest.mark.parametrize("variant", [WAIT_AND_SEE, PENALISED, engine.LOWER_BOUND])
+    def test_thinned_background_needs_cpdg(self, variant):
+        # only the CPDG has a background; thinning another variant changed its law
+        for run in (Simulation, run_replica):
+            with pytest.raises(ValueError, match="thinned"):
+                run(STAR3, SIGMA_HALF, 1.0, variant, {0}, Caps(horizon=5.0), 1,
+                    bg_mode="thinned")
+
     def test_root_reinfections_recorded(self):
         found = False
         for i in range(200):
@@ -228,52 +232,94 @@ class TestVariants:
 
 class TestWaitAndSee:
     def test_pure_death_at_lambda_zero(self):
-        rec, _ = WaitSeeSimulation(K2, SIGMA_HALF, 0.0, {0}, Caps(horizon=60.0), seed=1).run()
+        rec = run_replica(K2, SIGMA_HALF, 0.0, WAIT_AND_SEE, {0}, Caps(horizon=60.0), seed=1)
         assert rec.outcome == engine.EXTINCT
 
     def test_snapshots_expose_state(self):
-        sim = WaitSeeSimulation(STAR3, KernelSpec(alpha=0.2, sigma=1.0), 1.0, {0},
-                                Caps(horizon=4.0), seed=3, run_to_horizon=True)
-        rec, snaps = sim.run(snapshot_times=[0.5, 1.0, 2.0])
-        assert len(snaps) == 3
-        for t, infected, revealed in snaps:
+        sim = Simulation(STAR3, KernelSpec(alpha=0.2, sigma=1.0), 1.0, WAIT_AND_SEE, {0},
+                         Caps(horizon=4.0), seed=3)
+        sim.run(snapshot_times=[0.5, 1.0, 2.0])
+        assert len(sim.snapshots) == 3
+        for t, infected, revealed in sim.snapshots:
             assert isinstance(infected, frozenset)
             for (u, v) in revealed:
                 assert u < v
 
     def test_max_events_cap(self):
         caps = Caps(horizon=1000.0, max_events=10)
-        sim = WaitSeeSimulation(STAR3, KernelSpec(alpha=0.0), 3.0, {0}, caps, seed=2,
-                                run_to_horizon=True)
-        rec, snaps = sim.run(snapshot_times=[999.0])
+        sim = Simulation(STAR3, KernelSpec(alpha=0.0), 3.0, WAIT_AND_SEE, {0}, caps, seed=2)
+        rec = sim.run(snapshot_times=[999.0])
         assert rec.outcome == engine.CAP
-        assert rec.total_events == 11  # the event past the cap is counted, as in Simulation
-        assert snaps == []  # the state after a cap is unknown
-        rec = run_replica(STAR3, KernelSpec(alpha=0.0), 3.0, engine.WAIT_AND_SEE, {0},
-                          caps, seed=2)
+        assert rec.total_events == 11  # the event past the cap is counted, as in the CPDG
+        assert sim.snapshots == []  # the state after a cap is unknown
+        rec = run_replica(STAR3, KernelSpec(alpha=0.0), 3.0, WAIT_AND_SEE, {0}, caps, seed=2)
         assert rec.outcome == engine.CAP
 
-    @pytest.mark.parametrize("kwargs", [{"allowed": frozenset({0, 1})}, {"target": 1},
-                                        {"snapshot_times": (1.0,)}, {"bg_mode": "thinned"}])
-    def test_run_replica_rejects_arguments_it_would_ignore(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            run_replica(K2, SIGMA_HALF, 1.0, engine.WAIT_AND_SEE, {0},
-                        Caps(horizon=5.0), seed=1, **kwargs)
+    def test_allowed_is_honoured(self):
+        allowed = frozenset({0, 1})
+        reached = set()
+        for i in range(50):
+            sim = Simulation(STAR3, KernelSpec(alpha=0.0), 3.0, WAIT_AND_SEE, {0},
+                             Caps(horizon=10.0), replica_seed(18, i), allowed=allowed)
+            while sim.step() is not None:
+                assert sim.infected <= allowed
+                reached |= sim.infected
+            assert all(u in allowed and v in allowed for u, v in sim.edges)
+        assert reached == allowed
 
-    def test_no_snapshots_after_early_stop(self):
-        # stopping at extinction leaves revealed edges to evolve unobserved
-        sim = WaitSeeSimulation(K2, KernelSpec(alpha=0.0), 5.0, {0},
-                                Caps(horizon=100.0), seed=3)
-        rec, snaps = sim.run(snapshot_times=[99.0])
+    def test_target_is_honoured(self):
+        # p = 1: vertex 1 is reached before the first recovery w.p. 5/6
+        outcomes = [run_replica(K2, KernelSpec(alpha=0.0), 5.0, WAIT_AND_SEE, {0},
+                                Caps(horizon=50.0), replica_seed(19, i), target=1).outcome
+                    for i in range(200)]
+        assert set(outcomes) == {engine.TARGET, engine.EXTINCT}
+        assert outcomes.count(engine.TARGET) >= 0.6 * 200
+
+    def test_snapshot_times_are_honoured(self):
+        # snapshots draw nothing, so the record is the one without them
+        kwargs = dict(caps=Caps(horizon=10.0), seed=4)
+        plain = run_replica(STAR3, SIGMA_HALF, 1.0, WAIT_AND_SEE, {0}, **kwargs)
+        assert run_replica(STAR3, SIGMA_HALF, 1.0, WAIT_AND_SEE, {0},
+                           snapshot_times=(0.5, 2.0), **kwargs) == plain
+        sim = Simulation(STAR3, SIGMA_HALF, 1.0, WAIT_AND_SEE, {0}, **kwargs)
+        assert sim.run(snapshot_times=(0.5, 2.0)) == plain
+        assert [t for t, _, _ in sim.snapshots] == [0.5, 2.0]
+
+    def test_snapshots_after_extinction(self):
+        # revealed edges outlive the infection until their unreveal clocks fire
+        spec = KernelSpec(alpha=0.0)
+        caps = Caps(horizon=100.0)
+        rec = run_replica(K2, spec, 5.0, WAIT_AND_SEE, {0}, caps, seed=1)
         assert rec.outcome == engine.EXTINCT and rec.time < 99.0
-        assert snaps == []
+        sim = Simulation(K2, spec, 5.0, WAIT_AND_SEE, {0}, caps, seed=1)
+        assert sim.run(snapshot_times=[rec.time, rec.time + 1e-9, 99.0]) == rec
+        (_, c0, r0), (_, c1, r1), (_, c2, r2) = sim.snapshots
+        assert c0 and r0 == {(0, 1)}  # taken before the last recovery
+        assert not c1 and r1 == r0
+        assert not c2 and not r2
 
     def test_reveal_requires_infection_nearby(self):
         # with lam = 0 nothing is ever revealed
-        sim = WaitSeeSimulation(STAR3, SIGMA_HALF, 0.0, {0}, Caps(horizon=10.0),
-                                seed=5, run_to_horizon=True)
-        rec, snaps = sim.run(snapshot_times=[5.0])
-        assert snaps[0][2] == frozenset()
+        sim = Simulation(STAR3, SIGMA_HALF, 0.0, WAIT_AND_SEE, {0}, Caps(horizon=10.0), seed=5)
+        sim.run(snapshot_times=[5.0])
+        assert sim.snapshots[0][2] == frozenset()
+
+    def test_root_reinfections_recorded(self):
+        found = False
+        for i in range(200):
+            rec = run_replica(STAR3, KernelSpec(alpha=0.0), 2.0, WAIT_AND_SEE, {0},
+                              Caps(horizon=30.0), seed=replica_seed(9, i))
+            if rec.root_reinfections:
+                found = True
+                assert all(t2 > t1 for t1, t2 in
+                           zip(rec.root_reinfections, rec.root_reinfections[1:]))
+        assert found
+
+    def test_truncated_tree_censors(self):
+        g = grow_bgw(deterministic(5), seed=2, caps=TreeCaps(max_vertices=8, max_depth=10))
+        rec = run_replica(g, KernelSpec(alpha=0.0), 5.0, WAIT_AND_SEE, {0},
+                          Caps(horizon=50.0), seed=4)
+        assert rec.outcome == engine.TRUNCATED_TREE
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +331,7 @@ def _golden_blob() -> str:
     lines = []
     kernel = KernelSpec(alpha=0.5, sigma=1.0, nu=1.5)
     runs = [(CPDG, "explicit"), (CPDG, "thinned"), (PENALISED, "explicit"),
-            (engine.LOWER_BOUND, "explicit"), (engine.WAIT_AND_SEE, "explicit")]
+            (engine.LOWER_BOUND, "explicit"), (WAIT_AND_SEE, "explicit")]
     for variant, bg_mode in runs:
         for seed in range(12):
             tree = grow_bgw(power_law(2.1) if seed % 2 else deterministic(3), seed=seed,
@@ -298,20 +344,23 @@ def _golden_blob() -> str:
                                      replica_seed(12, seed), bg_mode=bg_mode))
     for bg_mode in ("explicit", "thinned"):
         for seed in range(20):
-            log = []
             sim = Simulation(STAR3, kernel, 1.5, CPDG, {0}, Caps(horizon=30.0),
-                             replica_seed(13, seed), bg_mode=bg_mode, event_log=log)
-            lines.append((sim.run(snapshot_times=(0.5, 1.0, 2.0, 40.0)), log,
+                             replica_seed(13, seed), bg_mode=bg_mode)
+            lines.append((sim.run(snapshot_times=(0.5, 1.0, 2.0, 40.0)),
                           [(t, sorted(c), sorted(b)) for t, c, b in sim.snapshots]))
+            sim = Simulation(STAR3, kernel, 1.5, CPDG, {0}, Caps(horizon=30.0),
+                             replica_seed(13, seed), bg_mode=bg_mode)
+            lines.append(list(iter(sim.step, None)))
     path = build_finite([(i, i + 1) for i in range(5)])
     for seed in range(30):
         lines.append(run_replica(path, kernel, 3.0, CPDG, {0}, Caps(horizon=20.0),
                                  replica_seed(14, seed), target=5))
     for seed in range(20):
-        sim = WaitSeeSimulation(STAR3, kernel, 1.2, {0}, Caps(horizon=5.0),
-                                replica_seed(15, seed), run_to_horizon=True)
-        rec, snaps = sim.run(snapshot_times=(0.5, 1.0, 2.0, 4.0))
-        lines.append((rec, [(t, sorted(c), sorted(r)) for t, c, r in snaps]))
+        sim = Simulation(STAR3, kernel, 1.2, WAIT_AND_SEE, {0}, Caps(horizon=5.0),
+                         replica_seed(15, seed))
+        rec = sim.run(snapshot_times=(0.5, 1.0, 2.0, 4.0))
+        lines.append(((rec.outcome, rec.time, rec.peak_infected),
+                      [(t, sorted(c), sorted(r)) for t, c, r in sim.snapshots]))
     caps = Caps(horizon=40.0, max_events=200_000)
     for gseed in range(3):
         g = random_connected_graph(6, seed=gseed)
@@ -330,10 +379,11 @@ def _golden_blob() -> str:
 
 
 class TestGoldenRecords:
-    # sha256 of _golden_blob() under the engine that first produced these
-    # records; a change that keeps every RNG draw in order keeps it, so a
-    # mismatch means some output changed for a fixed seed
-    DIGEST = "193afa0f1eb5ce46d227b4523139c85f092139c51ab682336c78636e5ae7f63b"
+    # sha256 of _golden_blob(); a change that keeps every RNG draw in order
+    # keeps it, so a mismatch means some output changed for a fixed seed.
+    # Re-pinned once when wait-and-see records began to carry their root
+    # reinfections (every other part of the blob was unchanged)
+    DIGEST = "dcaee41c60850076d1c69c657438c7a4b09ea1d1562b392668bb006b0de8ab8c"
 
     def test_records_are_bit_identical(self):
         assert hashlib.sha256(_golden_blob().encode()).hexdigest() == self.DIGEST
