@@ -12,8 +12,10 @@ difference.
 The configs: both determinism configs of the acceptance suite, one config
 per subcommand, one `simulate` config (with records) for each engine path
 the others leave out (the `wait_and_see`, `penalised` and `lower_bound`
-variants and the thinned CPDG background), and batch 0 (seed 601) of the
-`bgw_survival` and `star_samplers` benchmark workloads.
+variants and the thinned CPDG background), a second star-survival config
+whose children differ (random degrees with some dropped, eta > 0, nu != 1;
+the other star configs give every child degree 3), and batch 0 (seed 601)
+of the `bgw_survival` and `star_samplers` benchmark workloads.
 """
 
 import json
@@ -58,6 +60,10 @@ def configs():
                                    "dist": {"kind": "deterministic", "d": 2},
                                    "n_values": [20, 40], "degree_bound": 4, "lambda": 0.4,
                                    "replicas": 20, "seed": 3}),
+        ("star survival random degrees", "star",
+         {"kernel": {"alpha": 0.3, "sigma": 0.5, "eta": 0.5, "nu": 3.0},
+          "dist": {"kind": "geometric", "q": 0.3, "k0": 1}, "n_values": [5, 12],
+          "degree_bound": 4, "lambda": 0.5, "replicas": 40, "seed": 5}),
         ("path", "path", {"kernel": {"alpha": 0.5}, "r_values": [1, 2, 3], "degree": 3,
                           "lambda": 0.5, "replicas": 200, "seed": 4}),
         ("phase", "phase", {"alpha": 0.3, "eta": 0.1, "tail": "power_law"}),

@@ -13,7 +13,6 @@ in every report so thresholds can be re-analyzed offline.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import random
@@ -324,76 +323,145 @@ class StarScalingReport:
     master_seed: int
 
 
+# windows in a replica's first background; a test changes it to check that
+# retries do not change the law
+_FIRST_WINDOWS = 256
+
+
 def _star_replica(n: int, sc: StarConstants, lam: float, kernel: KernelSpec,
                   dist: OffspringDistribution, rs: int, max_windows: int):
     """One restricted-star run: good-window structure plus the infection race.
 
     Infection events between the centre and a child are valid only while the
-    child is a good neighbour of some window covering the current time.
+    child is a good neighbour of some window covering the current time. An
+    attempt whose result the realized background does not determine is
+    replayed, with the same race stream, on a background extended to twice as
+    many windows; the replay follows the same trajectory as far as the shorter
+    background determined it.
     """
-    t_win = sc.window
-    degree_bound = sc.degree_bound
     gen = np.random.default_rng(mix(rs, 1))
-    py = random.Random(mix(rs, 2))
     zeta = dist.sample_array(gen, n)
     deg = zeta + 1
-    deg = deg[deg <= degree_bound]
-    m = deg.size
-    stable_w = sc.stable_windows
-
-    k_max = 256
+    deg = deg[deg <= sc.degree_bound]
+    bg = _StarBackground(n, kernel, deg, sc.window, min(_FIRST_WINDOWS, max_windows),
+                         np.random.default_rng(mix(rs, 3)))
     while True:
-        k_max = min(k_max, max_windows)
-        result = _star_attempt(n, sc, lam, kernel, deg, m,
-                               np.random.default_rng(mix(rs, 3)),
-                               random.Random(mix(rs, 4)), k_max, stable_w)
-        if result is not None or k_max >= max_windows:
+        result, t_safe = _star_attempt(sc, lam, bg, random.Random(mix(rs, 4)))
+        if result is not None and result.extinction_time < t_safe:
+            return result
+        if bg.k_max >= max_windows:
             break
-        k_max *= 2
-    if result is None:  # still alive at the hard cap
-        horizon = (max_windows + 2) * t_win
-        return StarReplicaRecord(good_min=-1, good_trace=(), stable=False,
-                                 extinction_time=horizon, outcome=engine.CAP, seed=rs)
-    return result
+        k_max = min(2 * bg.k_max, max_windows)
+        bg.extend(k_max, np.random.default_rng(mix(rs, 3, k_max)))
+    # still alive where the background of max_windows windows stops deciding
+    horizon = (max_windows + 2) * sc.window
+    return StarReplicaRecord(good_min=-1, good_trace=(), stable=False,
+                             extinction_time=horizon, outcome=engine.CAP, seed=rs)
 
 
-def _star_attempt(n, sc, lam, kernel, deg, m, gen, py, k_max, stable_w):
-    """Simulate the restricted star with a background of k_max windows.
+class _StarBackground:
+    """Every child's update and recovery events on [0, (k_max + 2) T), and
+    its redraw chain: the open state at time 0, then after each update.
 
-    Returns a StarReplicaRecord, or None if the infection outlived the
-    realized background (caller retries with a longer one).
+    Stored flat. `up_t`/`up_child` and `rec_t`/`rec_child` are event times
+    with their owning children. Each child's recovery times are one segment,
+    `rec_t[rec_start[y]:rec_start[y + 1]]`, and each child's chain is one
+    segment of `chain`, children in order. The first span makes the draws
+    that a loop over the children would make, in the same order. `extend`
+    draws only the added span, from the stream it is given, and appends its
+    events and redraws to each child's.
+    """
+
+    def __init__(self, n, kernel, deg, t_win, k_max, gen):
+        m = deg.size
+        self.m = m
+        self.t_win = t_win
+        self.p = p_value_array(kernel, np.full(m, n), deg) if m else np.empty(0)
+        self.v = kernel.nu * np.maximum(float(n), deg) ** kernel.eta if m else np.empty(0)
+        self.k_max = k_max
+        self.horizon = (k_max + 2) * t_win
+        (self.up_t, self.up_child, self.rec_t, self.rec_child,
+         self.chain, _) = self._span(gen, 0.0, self.horizon, 1)
+        self.rec_start = self._starts(self.rec_child)
+
+    def _span(self, gen, t0, t1, links_at_start):
+        span = t1 - t0
+        children = np.arange(self.m)
+        up_counts = gen.poisson(self.v * span)
+        rec_counts = gen.poisson(span * np.ones(self.m))
+        up_t = t0 + gen.random(up_counts.sum()) * span
+        rec_t = t0 + gen.random(rec_counts.sum()) * span
+        links = up_counts + links_at_start
+        chain = gen.random(links.sum()) < np.repeat(self.p, links)
+        return (up_t, np.repeat(children, up_counts), rec_t, np.repeat(children, rec_counts),
+                chain, links)
+
+    def _starts(self, child):
+        return np.concatenate(([0], np.cumsum(np.bincount(child, minlength=self.m))))
+
+    def extend(self, k_max, gen):
+        """Grow the background to k_max windows; the events drawn so far stay."""
+        t1 = (k_max + 2) * self.t_win
+        up_t, up_child, rec_t, rec_child, chain, links = self._span(gen, self.horizon, t1, 0)
+        children = np.arange(self.m)
+        links_before = np.bincount(self.up_child, minlength=self.m) + 1
+        self.k_max, self.horizon = k_max, t1
+        self.up_t = np.concatenate((self.up_t, up_t))
+        self.up_child = np.concatenate((self.up_child, up_child))
+        self.rec_t, self.rec_child = _by_child(self.rec_t, self.rec_child, rec_t, rec_child)
+        self.chain, _ = _by_child(self.chain, np.repeat(children, links_before),
+                                  chain, np.repeat(children, links))
+        self.rec_start = self._starts(self.rec_child)
+
+
+def _by_child(values, child, more_values, more_child):
+    """Concatenate, then group by child, keeping each child's order."""
+    child = np.concatenate((child, more_child))
+    order = np.argsort(child, kind="stable")
+    return np.concatenate((values, more_values))[order], child[order]
+
+
+def _star_attempt(sc, lam, bg, py):
+    """Simulate the restricted star on background `bg` of bg.k_max windows.
+
+    Returns (record, t_safe). The record is None if the infection outlived
+    the realized background. Otherwise it is exact only if its extinction
+    time is below t_safe: the end of the last cell whose covering windows are
+    all realized, or earlier, the first time a child was infected with no
+    recovery left in the background (the run cannot end before it does).
+
+    Costs O(m * k_max) array work plus O(events) Python work in the race.
     """
     t_win = sc.window
+    m = bg.m
+    k_max = bg.k_max
     n_cells = k_max + 2
     horizon = n_cells * t_win
-    p_arr = p_value_array(kernel, np.full(m, n), deg) if m else np.empty(0)
-    v_arr = kernel.nu * np.maximum(float(n), deg) ** kernel.eta if m else np.empty(0)
 
-    # realized background: update/recovery event times and redraw chains
-    up_counts = gen.poisson(v_arr * horizon) if m else np.empty(0, dtype=int)
-    rec_counts = gen.poisson(horizon * np.ones(m)) if m else np.empty(0, dtype=int)
-    up_times = [np.sort(gen.random(c)) * horizon for c in up_counts]
-    rec_times = [np.sort(gen.random(c)) * horizon for c in rec_counts]
-    states = [None] * m
-    for y in range(m):
-        states[y] = gen.random(up_counts[y] + 1) < p_arr[y]
-
-    # good windows: open at kT and no update/recovery event inside J_k
-    good = np.zeros((m, k_max + 1), dtype=bool)
-    grid = np.arange(k_max + 1) * t_win
-    for y in range(m):
-        idx = np.searchsorted(up_times[y], grid, side="right")
-        open_at = states[y][idx]
-        blocked = np.zeros(k_max + 1, dtype=bool)
-        for t_ev in (up_times[y], rec_times[y]):
-            if t_ev.size:
-                mcell = np.floor(t_ev / t_win).astype(np.int64)
-                for off in (-1, 0, 1, 2):
-                    ks = mcell + off
-                    ks = ks[(ks >= 0) & (ks <= k_max)]
-                    blocked[ks] = True
-        good[y] = open_at & ~blocked
-    trace = tuple(int(c) for c in good.sum(axis=0)[:stable_w + 1])
+    # good windows: open at kT and no update/recovery event inside J_k.
+    # Row y of a flat (child, column) table holds child y; an event in cell c
+    # marks column c + 2, and window k is blocked by a mark in columns k..k+3
+    # (cells k-2..k+1). Update u counts for the windows from w_u on, the
+    # first with kT >= t_u: w_u is c, c + 1 or c + 2 for the computed cell c.
+    width = k_max + 5
+    grid = np.arange(k_max + 4) * t_win
+    up_row = bg.up_child * width
+    up_cell = (bg.up_t / t_win).astype(np.int64)
+    occupied = np.zeros(m * width, dtype=bool)
+    occupied[up_row + up_cell + 2] = True
+    occupied[bg.rec_child * width + (bg.rec_t / t_win).astype(np.int64) + 2] = True
+    occupied = occupied.reshape(m, width)
+    from_window = up_cell + (grid[up_cell] < bg.up_t) + (grid[up_cell + 1] < bg.up_t)
+    # updates of the children before y, plus y's own at or before kT
+    ups_so_far = np.cumsum(np.bincount(up_row + from_window,
+                                       minlength=m * width)).reshape(m, width)
+    # child y's chain starts after the chains, one link longer than their
+    # update counts, of the children before it
+    open_at = bg.chain[ups_so_far[:, :k_max + 1] + np.arange(m)[:, None]]
+    blocked = (occupied[:, 0:k_max + 1] | occupied[:, 1:k_max + 2]
+               | occupied[:, 2:k_max + 3] | occupied[:, 3:k_max + 4])
+    good = open_at & ~blocked
+    trace = tuple(int(c) for c in good.sum(axis=0)[:sc.stable_windows + 1])
     good_min = min(trace) if trace else 0
     stable = good_min > sc.threshold
 
@@ -406,6 +474,7 @@ def _star_attempt(n, sc, lam, kernel, deg, m, gen, py, k_max, stable_w):
             valid[:, src_lo:src_hi] |= good[:, src_lo + off:src_hi + off]
 
     # infection race on the star, restricted to valid children
+    t_safe = (k_max - 1) * t_win
     infected = np.zeros(m, dtype=bool)
     root_infected = True
     t_root_rec = py.expovariate(1.0)
@@ -427,13 +496,13 @@ def _star_attempt(n, sc, lam, kernel, deg, m, gen, py, k_max, stable_w):
         if not root_infected and not heap:
             return StarReplicaRecord(good_min=good_min, good_trace=trace,
                                      stable=stable, extinction_time=t,
-                                     outcome=engine.EXTINCT, seed=0)
+                                     outcome=engine.EXTINCT, seed=0), t_safe
         t_cell = (cell + 1) * t_win
         t_rec = heap[0][0] if heap else math.inf
         t_root = t_root_rec if root_infected else math.inf
         t_next = min(t_cell, t_rec, t_root, t_inf)
         if t_next >= horizon:
-            return None  # outlived this background; retry longer
+            return None, t_safe  # outlived this background; retry longer
         t = t_next
         if t == t_cell:
             cell += 1
@@ -454,10 +523,12 @@ def _star_attempt(n, sc, lam, kernel, deg, m, gen, py, k_max, stable_w):
                 child = int(cands[py.randrange(cands.size)])
                 infected[child] = True
                 n_valid_inf += 1
-                nxt = bisect.bisect_right(rec_times[child], t)
-                if nxt < rec_times[child].size:
-                    heapq.heappush(heap, (float(rec_times[child][nxt]), child))
-                # else: no recovery before the horizon; censoring covers it
+                recs = bg.rec_t[bg.rec_start[child]:bg.rec_start[child + 1]]
+                later = recs[recs > t]
+                if later.size:
+                    heapq.heappush(heap, (float(later.min()), child))
+                else:  # infected past the background's end
+                    t_safe = min(t_safe, t)
             else:
                 root_infected = True
                 t_root_rec = t + py.expovariate(1.0)
@@ -474,6 +545,10 @@ def star_survival(n_values, degree_bound: int, lam: float, kernel: KernelSpec,
     flag, and the extinction time of the restricted process started from the
     infected centre. The report regresses log median extinction time on
     N^{1 - alpha - 2 (eta v 0)} and tests ordering of consecutive sizes.
+
+    A replica attempt costs O(m * k_max) array work plus O(events) Python
+    work in the infection race, for m kept children and a background of
+    k_max windows: 256 at first, doubled on each retry up to max_windows.
     """
     records = []
     all_times = []

@@ -2,12 +2,21 @@
 
 These deliberately avoid the closed forms they are checking: the edge race is
 simulated as the raw jump process (open/close/infect/recover clocks), and the
-geometric sum is assembled from its defining pieces.
+geometric sum is assembled from its defining pieces. The star attempt is the
+per-child loop sampler that the flat-array one in `cpdg.experiments` replaced;
+the two must return equal records from the same streams.
 """
+
+import bisect
+import heapq
+import math
 
 import numpy as np
 
+from cpdg import engine
+from cpdg.experiments import StarReplicaRecord
 from cpdg.graph import build_finite
+from cpdg.kernels import p_value_array
 from cpdg.rng import mix
 
 
@@ -53,3 +62,111 @@ def random_connected_graph(n_vertices, seed, extra_edge_prob=0.4):
                 edges.append(key)
                 break
     return build_finite(edges)
+
+
+def star_attempt_reference(n, sc, lam, kernel, deg, m, gen, py, k_max, stable_w):
+    """Simulate the restricted star with a background of k_max windows.
+
+    Returns a StarReplicaRecord, or None if the infection outlived the
+    realized background (caller retries with a longer one).
+    """
+    t_win = sc.window
+    n_cells = k_max + 2
+    horizon = n_cells * t_win
+    p_arr = p_value_array(kernel, np.full(m, n), deg) if m else np.empty(0)
+    v_arr = kernel.nu * np.maximum(float(n), deg) ** kernel.eta if m else np.empty(0)
+
+    # realized background: update/recovery event times and redraw chains
+    up_counts = gen.poisson(v_arr * horizon) if m else np.empty(0, dtype=int)
+    rec_counts = gen.poisson(horizon * np.ones(m)) if m else np.empty(0, dtype=int)
+    up_times = [np.sort(gen.random(c)) * horizon for c in up_counts]
+    rec_times = [np.sort(gen.random(c)) * horizon for c in rec_counts]
+    states = [None] * m
+    for y in range(m):
+        states[y] = gen.random(up_counts[y] + 1) < p_arr[y]
+
+    # good windows: open at kT and no update/recovery event inside J_k
+    good = np.zeros((m, k_max + 1), dtype=bool)
+    grid = np.arange(k_max + 1) * t_win
+    for y in range(m):
+        idx = np.searchsorted(up_times[y], grid, side="right")
+        open_at = states[y][idx]
+        blocked = np.zeros(k_max + 1, dtype=bool)
+        for t_ev in (up_times[y], rec_times[y]):
+            if t_ev.size:
+                mcell = np.floor(t_ev / t_win).astype(np.int64)
+                for off in (-1, 0, 1, 2):
+                    ks = mcell + off
+                    ks = ks[(ks >= 0) & (ks <= k_max)]
+                    blocked[ks] = True
+        good[y] = open_at & ~blocked
+    trace = tuple(int(c) for c in good.sum(axis=0)[:stable_w + 1])
+    good_min = min(trace) if trace else 0
+    stable = good_min > sc.threshold
+
+    # per-cell validity: good in some window covering the cell
+    valid = np.zeros((m, n_cells), dtype=bool)
+    for off in (-1, 0, 1, 2):
+        src_lo = max(0, -off)
+        src_hi = min(n_cells, k_max + 1 - off)
+        if src_lo < src_hi:
+            valid[:, src_lo:src_hi] |= good[:, src_lo + off:src_hi + off]
+
+    # infection race on the star, restricted to valid children
+    infected = np.zeros(m, dtype=bool)
+    root_infected = True
+    t_root_rec = py.expovariate(1.0)
+    heap = []  # (recovery time, child)
+    cell = 0
+    t = 0.0
+    vcol = valid[:, 0]
+    n_valid = int(vcol.sum())
+    n_valid_inf = 0
+
+    def rate():
+        if root_infected:
+            return lam * (n_valid - n_valid_inf)
+        return lam * n_valid_inf
+
+    r = rate()
+    t_inf = t + py.expovariate(r) if r > 0 else math.inf
+    while True:
+        if not root_infected and not heap:
+            return StarReplicaRecord(good_min=good_min, good_trace=trace,
+                                     stable=stable, extinction_time=t,
+                                     outcome=engine.EXTINCT, seed=0)
+        t_cell = (cell + 1) * t_win
+        t_rec = heap[0][0] if heap else math.inf
+        t_root = t_root_rec if root_infected else math.inf
+        t_next = min(t_cell, t_rec, t_root, t_inf)
+        if t_next >= horizon:
+            return None  # outlived this background; retry longer
+        t = t_next
+        if t == t_cell:
+            cell += 1
+            vcol = valid[:, cell]
+            n_valid = int(vcol.sum())
+            n_valid_inf = int(np.count_nonzero(vcol & infected))
+        elif t == t_root:
+            root_infected = False
+        elif t == t_rec:
+            _, child = heapq.heappop(heap)
+            infected[child] = False
+            if vcol[child]:
+                n_valid_inf -= 1
+        else:
+            # infection event
+            if root_infected:
+                cands = np.nonzero(vcol & ~infected)[0]
+                child = int(cands[py.randrange(cands.size)])
+                infected[child] = True
+                n_valid_inf += 1
+                nxt = bisect.bisect_right(rec_times[child], t)
+                if nxt < rec_times[child].size:
+                    heapq.heappush(heap, (float(rec_times[child][nxt]), child))
+                # else: no recovery before the horizon; censoring covers it
+            else:
+                root_infected = True
+                t_root_rec = t + py.expovariate(1.0)
+        r = rate()
+        t_inf = t + py.expovariate(r) if r > 0 else math.inf

@@ -1,16 +1,23 @@
+import itertools
 import math
+import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from cpdg import engine
+from _oracles import star_attempt_reference
+from cpdg import engine, experiments
+from cpdg.closedform import star_constants
 from cpdg.experiments import (BGWGraphSpec, ExperimentError, FiniteGraphSpec,
                               bracket_lambda, estimate_survival,
                               path_graph_with_degree, path_transmission,
                               penalised_comparison, stable_star_frequency,
                               star_survival, wilson_interval)
-from cpdg.graph import TreeCaps, deterministic, geometric
+from cpdg.graph import TreeCaps, deterministic, geometric, power_law
 from cpdg.kernels import KernelSpec
+from cpdg.rng import mix
 
 K2_SPEC = FiniteGraphSpec(edges=((0, 1),))
 STAR_SPEC = FiniteGraphSpec(edges=((0, 1), (0, 2), (0, 3)))
@@ -155,6 +162,63 @@ class TestStars:
         with pytest.raises(ExperimentError):
             star_survival([100], 4, 3.0, self.kernel, deterministic(2),
                           replicas=10, seed=11)
+
+    @staticmethod
+    def background(n, kernel, dist, sc, k_max, seed):
+        deg = dist.sample_array(np.random.default_rng(mix(seed, 1)), n) + 1
+        deg = deg[deg <= sc.degree_bound]
+        return deg, experiments._StarBackground(n, kernel, deg, sc.window, k_max,
+                                                np.random.default_rng(mix(seed, 3)))
+
+    def test_flat_background_matches_per_child_loops(self):
+        # power_law(2.5) gives children of several degrees, drops some (and at
+        # n=1 sometimes all); eta and nu make their update rates differ
+        lam = 1.0
+        seen = set()
+        for dist, n, eta, nu, k_max in itertools.product(
+                (deterministic(2), power_law(2.5)), (1, 2, 5, 50, 400), (0.0, 0.5),
+                (1.0, 3.0), (4, 256)):
+            kernel = replace(self.kernel, eta=eta, nu=nu)
+            # the constants only set T and the thresholds; they need n >= 4
+            sc = star_constants(max(n, 4), 4, lam, kernel, dist)
+            # seed 31 makes power_law(2.5) drop the only child of n=1
+            for seed in ((0, 1, 31) if n < 50 else (0,)):
+                deg, bg = self.background(n, kernel, dist, sc, k_max, seed)
+                new, _ = experiments._star_attempt(sc, lam, bg, random.Random(mix(seed, 4)))
+                ref = star_attempt_reference(n, sc, lam, kernel, deg, deg.size,
+                                             np.random.default_rng(mix(seed, 3)),
+                                             random.Random(mix(seed, 4)), k_max,
+                                             sc.stable_windows)
+                assert new == ref, (dist, n, eta, nu, k_max, seed)
+                seen.add((deg.size == 0, ref is None))
+        assert seen == {(False, False), (False, True), (True, False)}
+
+    def test_extended_background_replays_the_race(self):
+        # an attempt the shorter background decides comes out the same on
+        # the extended one
+        kernel = replace(self.kernel, eta=0.5, nu=3.0)
+        sc = star_constants(50, 4, 1.0, kernel, power_law(2.5))
+        decided = 0
+        for seed in range(40):
+            _, bg = self.background(50, kernel, power_law(2.5), sc, 8, seed)
+            first, t_safe = experiments._star_attempt(sc, 1.0, bg, random.Random(seed))
+            bg.extend(16, np.random.default_rng(mix(seed, 3, 16)))
+            again, _ = experiments._star_attempt(sc, 1.0, bg, random.Random(seed))
+            if first is not None and first.extinction_time < t_safe:
+                decided += 1
+                assert again == first
+        assert 0 < decided < 40
+
+    def test_first_background_length_keeps_the_law(self, monkeypatch):
+        # at these parameters ~40 % of replicas outlive 256 windows, so
+        # accepting a retry's race unchecked pulled extinction times down
+        samples = []
+        for first in (256, 1024):
+            monkeypatch.setattr(experiments, "_FIRST_WINDOWS", first)
+            rep = star_survival([1000], 4, 1.2, self.kernel, deterministic(2),
+                                replicas=150, seed=first)
+            samples.append([r.extinction_time for r in rep.records[0].replicas])
+        assert stats.ks_2samp(*samples).pvalue > 1e-3
 
 
 class TestPath:
