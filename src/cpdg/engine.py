@@ -7,6 +7,14 @@ two-state transition law on reactivation. Recoveries use the memoryless
 property (one pending recovery per infected vertex). Every runner keys an
 edge by its ``(min, max)`` vertex pair.
 
+An edge updates at rate v and is redrawn open with probability p, so its
+state is the two-state chain closed -> open at rate v p, open -> closed at
+rate v (1 - p). ``Simulation``'s explicit background runs that chain with one
+event per flip, and runs an edge's rate-lam infection clock only while the
+edge is open: a tick that finds its edge closed dies, and a flip to open
+re-arms it. Both are exact by memorylessness; together they schedule no tick
+on a closed edge and no update that keeps an edge's state.
+
 Three families of runners live here:
 
 * ``Simulation`` / ``run_replica`` - the production path (single fast RNG)
@@ -83,7 +91,7 @@ class TrajectoryRecord:
 # edge record slots; in the wait-and-see process _OPEN means "revealed"
 _OPEN = 0
 _TIME = 1
-_UP = 2  # update clock scheduled (CPDG, explicit background)
+_UP = 2  # flips tracked by events (explicit CPDG): a flip clock is pending or the state absorbs
 _INF = 3  # infection clock scheduled
 _P = 4
 _V = 5
@@ -93,6 +101,17 @@ _REV = 7  # reveal clock scheduled (wait-and-see)
 
 class Simulation:
     """One replica of the CPDG, a static-rate variant or the wait-and-see process.
+
+    The CPDG's explicit background runs each active edge as its two-state
+    chain: one flip clock, at rate v (1 - p) while open and v p while closed
+    (none out of an absorbing state, p = 1 open or p = 0 closed), and an
+    infection clock only while the edge is open. An idle edge is caught up by
+    the chain's transition law when it is next touched, and after extinction
+    the pending flips still fire for later snapshots. ``total_events`` and
+    ``Caps.max_events`` count the events processed, so no tick armed on a
+    closed edge and no update that keeps an edge's state. The thinned
+    background keeps a rate-lam clock on every active edge and resolves the
+    edge state at each tick.
 
     The wait-and-see process tracks revealed edges instead of open ones. Every
     edge starts unrevealed; an unrevealed edge touching the infection reveals
@@ -105,6 +124,7 @@ class Simulation:
         "infected", "edges", "clock", "done", "outcome", "peak",
         "events", "snapshots", "_queue", "_seq", "_rng", "_root",
         "_root_absent", "_reinf", "_allowed", "_thinned", "_has_bg", "_ws", "_target",
+        "_horizon", "_max_events",
     )
 
     def __init__(self, graph: GraphView, kernel: KernelSpec, lam: float,
@@ -142,6 +162,8 @@ class Simulation:
         self._has_bg = variant == CPDG
         self._ws = variant == WAIT_AND_SEE
         self._target = target
+        self._horizon = caps.horizon
+        self._max_events = caps.max_events
         for x in sorted(set(init)):
             self._infect(int(x), 0.0)
             if self.outcome == TRUNCATED_TREE:
@@ -161,10 +183,6 @@ class Simulation:
             return lower_bound_rate(self.lam, v, p) if self.lam > 0 and p > 0 else 0.0
         raise ValueError(f"variant {self.variant!r} not supported by Simulation")
 
-    def _push(self, t: float, kind: int, u: int, v: int):
-        self._seq += 1
-        heappush(self._queue, (t, self._seq, kind, u, v))
-
     def _infect(self, y: int, t: float):
         """Infect y at time t; a tree too small for its neighbourhood censors."""
         infected = self.infected
@@ -182,8 +200,8 @@ class Simulation:
             self.done = True
             self.outcome = TARGET
             return
-        rng = self._rng
-        self._push(t - math.log(rng.random()), RECOVER, y, -1)
+        self._seq += 1
+        heappush(self._queue, (t - math.log(self._rng.random()), self._seq, RECOVER, y, -1))
         try:
             self._activate_edges(y, t)
         except TreeCapExceeded:
@@ -195,8 +213,8 @@ class Simulation:
 
         A new edge draws its state from the stationary law (it starts open
         in the static-rate variants and unrevealed in wait-and-see); with
-        `catch_up`, an edge without a pending update clock (always so in
-        thinned mode) is advanced to t by the exact two-state transition.
+        `catch_up`, an edge whose flips no event tracks (always so in thinned
+        mode) is advanced to t by the exact two-state transition.
         """
         e = self.edges.get(key)
         if e is None:
@@ -213,8 +231,10 @@ class Simulation:
 
     def _activate_edges(self, x: int, t: float):
         rng = self._rng
+        queue = self._queue
         allowed = self._allowed
-        explicit = self._has_bg and not self._thinned
+        thinned = self._thinned
+        explicit = self._has_bg and not thinned
         ws = self._ws
         for y in self.graph.neighbors(x):
             if allowed is not None and y not in allowed:
@@ -224,15 +244,23 @@ class Simulation:
             if ws:
                 if not (e[_OPEN] or e[_REV]) and self.lam * e[_P] > 0.0:
                     e[_REV] = True
-                    self._push(t - math.log(rng.random()) / (self.lam * e[_P]),
-                               REVEAL, key[0], key[1])
+                    self._seq += 1
+                    heappush(queue, (t - math.log(rng.random()) / (self.lam * e[_P]),
+                                     self._seq, REVEAL, key[0], key[1]))
                 continue
             if explicit and not e[_UP]:
                 e[_UP] = True
-                self._push(t - math.log(rng.random()) / e[_V], UPDATE, key[0], key[1])
-            if e[_RATE] > 0.0 and not e[_INF]:
+                flip = e[_V] * (1.0 - e[_P]) if e[_OPEN] else e[_V] * e[_P]
+                if flip > 0.0:
+                    self._seq += 1
+                    heappush(queue, (t - math.log(rng.random()) / flip,
+                                     self._seq, UPDATE, key[0], key[1]))
+            # the explicit CPDG ticks only while open; others tick on every active edge
+            if (e[_OPEN] or thinned) and e[_RATE] > 0.0 and not e[_INF]:
                 e[_INF] = True
-                self._push(t - math.log(rng.random()) / e[_RATE], INFECT, key[0], key[1])
+                self._seq += 1
+                heappush(queue, (t - math.log(rng.random()) / e[_RATE],
+                                 self._seq, INFECT, key[0], key[1]))
 
     # -- public stepping ------------------------------------------------------
 
@@ -249,14 +277,14 @@ class Simulation:
             return None
         item = heappop(queue)
         t = item[0]
-        if t >= self.caps.horizon:
-            self.clock = self.caps.horizon
+        if t >= self._horizon:
+            self.clock = self._horizon
             self.done = True
             self.outcome = HORIZON
             return None
         self.clock = t
         self.events += 1
-        if self.events > self.caps.max_events:
+        if self.events > self._max_events:
             self.done = True
             self.outcome = CAP
             return None
@@ -268,8 +296,10 @@ class Simulation:
             e = self.edges[(u, v)]
             ui = u in infected
             vi = v in infected
-            if not (e[_OPEN] if self._ws else ui or vi):
-                e[_INF] = False  # clock dies with the edge idle (unrevealed, in wait-and-see)
+            if not (e[_OPEN] if self._ws else (ui or vi) and (e[_OPEN] or self._thinned)):
+                # the clock dies with the edge idle, or closed in the explicit
+                # CPDG (unrevealed, in wait-and-see)
+                e[_INF] = False
                 return item
             if self._thinned and e[_TIME] < t:
                 e[_OPEN] = self._rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
@@ -277,7 +307,9 @@ class Simulation:
             if e[_OPEN] and ui != vi:
                 self._infect(v if ui else u, t)
             if not self.done:
-                self._push(t - math.log(self._rng.random()) / e[_RATE], INFECT, u, v)
+                self._seq += 1
+                heappush(queue, (t - math.log(self._rng.random()) / e[_RATE],
+                                 self._seq, INFECT, u, v))
             return item
         if kind == RECOVER:
             infected.remove(u)
@@ -302,21 +334,37 @@ class Simulation:
             if not self.done:
                 if not e[_INF]:
                     e[_INF] = True
-                    self._push(t - math.log(self._rng.random()) / e[_RATE], INFECT, u, v)
-                self._push(t - math.log(self._rng.random()) / e[_V], UPDATE, u, v)
+                    self._seq += 1
+                    heappush(queue, (t - math.log(self._rng.random()) / e[_RATE],
+                                     self._seq, INFECT, u, v))
+                self._seq += 1
+                heappush(queue, (t - math.log(self._rng.random()) / e[_V],
+                                 self._seq, UPDATE, u, v))
             return item
         if self._ws:
             # UPDATE unreveals; an edge still touching the infection re-arms its reveal
             e[_OPEN] = False
             if u in infected or v in infected:
                 e[_REV] = True
-                self._push(t - math.log(self._rng.random()) / (self.lam * e[_P]), REVEAL, u, v)
+                self._seq += 1
+                heappush(queue, (t - math.log(self._rng.random()) / (self.lam * e[_P]),
+                                 self._seq, REVEAL, u, v))
             return item
-        # UPDATE: redraw the edge state
-        e[_OPEN] = self._rng.random() < e[_P]
+        # UPDATE: the edge flips; an edge still touching the infection arms its
+        # next flip and, now open, its infection clock
+        is_open = e[_OPEN] = not e[_OPEN]
         e[_TIME] = t
         if u in infected or v in infected:
-            self._push(t - math.log(self._rng.random()) / e[_V], UPDATE, u, v)
+            flip = e[_V] * (1.0 - e[_P]) if is_open else e[_V] * e[_P]
+            if flip > 0.0:
+                self._seq += 1
+                heappush(queue, (t - math.log(self._rng.random()) / flip,
+                                 self._seq, UPDATE, u, v))
+            if is_open and e[_RATE] > 0.0 and not e[_INF]:
+                e[_INF] = True
+                self._seq += 1
+                heappush(queue, (t - math.log(self._rng.random()) / e[_RATE],
+                                 self._seq, INFECT, u, v))
         else:
             e[_UP] = False
         return item
@@ -345,35 +393,37 @@ class Simulation:
     # -- driving ----------------------------------------------------------------
 
     def run(self, snapshot_times=()) -> TrajectoryRecord:
-        snaps = sorted(snapshot_times)
-        si = 0
         queue = self._queue
-        horizon = self.caps.horizon
-        while not self.done:
-            t_next = queue[0][0] if queue else horizon
-            while si < len(snaps) and snaps[si] <= min(t_next, horizon):
-                self.take_snapshot(snaps[si])
-                si += 1
-            self.step()
-        if self.outcome == EXTINCT and si < len(snaps):
+        horizon = self._horizon
+        step = self.step
+        # a snapshot is taken before any event at its own time
+        snaps = [s for s in sorted(snapshot_times) if s <= horizon]
+        taken = 0
+        for t_snap in snaps:
+            while queue and queue[0][0] < t_snap:
+                if step() is None:
+                    break
+            if self.done:
+                break
+            self.take_snapshot(t_snap)
+            taken += 1
+        while step() is not None:
+            pass
+        if self.outcome == EXTINCT:
             # the background (the revealed set, in wait-and-see) keeps
             # evolving after extinction, and pending update times carry real
             # information (they are known to exceed the extinction time), so
             # drain them instead of resampling; other clocks no longer matter
-            while si < len(snaps):
-                t_next = queue[0][0] if queue else math.inf
-                while si < len(snaps) and snaps[si] <= min(t_next, horizon):
-                    self.take_snapshot(snaps[si])
-                    si += 1
-                if si >= len(snaps) or not queue or t_next >= horizon:
-                    break
-                _, _, kind, u, v = heappop(queue)
-                if kind == UPDATE:
-                    e = self.edges[(u, v)]
-                    # wait-and-see unreveals; the CPDG redraws and suspends
-                    e[_OPEN] = not self._ws and self._rng.random() < e[_P]
-                    e[_TIME] = t_next
-                    e[_UP] = False
+            for t_snap in snaps[taken:]:
+                while queue and queue[0][0] < t_snap:
+                    t, _, kind, u, v = heappop(queue)
+                    if kind == UPDATE:
+                        e = self.edges[(u, v)]
+                        # wait-and-see unreveals; the CPDG flips and suspends
+                        e[_OPEN] = not (self._ws or e[_OPEN])
+                        e[_TIME] = t
+                        e[_UP] = False
+                self.take_snapshot(t_snap)
         time = self.clock if self.outcome != HORIZON else horizon
         return TrajectoryRecord(
             outcome=self.outcome, time=time, peak_infected=self.peak,
@@ -457,6 +507,10 @@ class KeyedSimulation:
     per-entity streams in the same order, so identical seeds must give
     bit-identical infection trajectories; this is the activation-order
     soundness check behind the default lazy engine.
+
+    It is an activation-order oracle, not a byte twin of ``Simulation``: it
+    still ticks every edge's infection clock whether the edge is open or
+    closed and redraws the edge state at every update.
     """
 
     def __init__(self, graph: GraphView, kernel: KernelSpec, lam: float,

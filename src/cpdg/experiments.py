@@ -337,7 +337,9 @@ def _star_replica(n: int, sc: StarConstants, lam: float, kernel: KernelSpec,
     attempt whose result the realized background does not determine is
     replayed, with the same race stream, on a background extended to twice as
     many windows; the replay follows the same trajectory as far as the shorter
-    background determined it.
+    background determined it. A background that does not yet cover the
+    stable windows 0..sc.stable_windows is extended the same way before any
+    attempt, so the stable-star flag is always judged on all of them.
     """
     gen = np.random.default_rng(mix(rs, 1))
     zeta = dist.sample_array(gen, n)
@@ -346,14 +348,16 @@ def _star_replica(n: int, sc: StarConstants, lam: float, kernel: KernelSpec,
     bg = _StarBackground(n, kernel, deg, sc.window, min(_FIRST_WINDOWS, max_windows),
                          np.random.default_rng(mix(rs, 3)))
     while True:
-        result, t_safe = _star_attempt(sc, lam, bg, random.Random(mix(rs, 4)))
-        if result is not None and result.extinction_time < t_safe:
-            return result
+        if bg.k_max >= sc.stable_windows:
+            result, t_safe = _star_attempt(sc, lam, bg, random.Random(mix(rs, 4)))
+            if result is not None and result.extinction_time < t_safe:
+                return result
         if bg.k_max >= max_windows:
             break
         k_max = min(2 * bg.k_max, max_windows)
         bg.extend(k_max, np.random.default_rng(mix(rs, 3, k_max)))
-    # still alive where the background of max_windows windows stops deciding
+    # still alive where the background of max_windows windows stops deciding,
+    # or max_windows cannot hold the stable windows
     horizon = (max_windows + 2) * sc.window
     return StarReplicaRecord(good_min=-1, good_trace=(), stable=False,
                              extinction_time=horizon, outcome=engine.CAP, seed=rs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cpdg import engine
+from cpdg import engine, oracle
 from cpdg.engine import (CPDG, PENALISED, WAIT_AND_SEE, Caps, KeyedSimulation,
                          Simulation, run_coupled, run_coupled_lambda, run_replica,
                          run_waitandsee_dominating)
@@ -19,6 +19,7 @@ from _oracles import random_connected_graph
 
 K2 = build_finite([(0, 1)])
 STAR3 = build_finite([(0, 1), (0, 2), (0, 3)])
+PATH4 = build_finite([(0, 1), (1, 2), (2, 3)])
 SIGMA_HALF = KernelSpec(alpha=0.5, sigma=1.0)
 
 
@@ -170,6 +171,74 @@ class TestBackground:
                          bg_mode="thinned").time
              for i in range(20_000)]
         assert stats.ks_2samp(a, b).pvalue > 0.001
+
+
+class TestFlipBackgroundLaw:
+    """The explicit background runs each active edge as flips and ticks its
+    infection clock only while open; the law must stay the CPDG's."""
+
+    @pytest.mark.parametrize("spec, lam", [
+        # most ticks of a redraw background fell on closed edges here, and
+        # the flip rates differ per edge
+        (KernelSpec(alpha=1.5, sigma=1.0, nu=2.0, eta=0.5), 3.0),
+        # p = 1: no flip clock is ever armed
+        (KernelSpec(alpha=0.0), 0.8),
+    ])
+    def test_path_matches_oracle(self, spec, lam):
+        model = oracle.build_exact(PATH4, spec, lam)
+        init = oracle.initial_distribution(model, [0])
+        expected = oracle.transient_distribution(model, init, 1.0)
+        ext = oracle.extinction_stats(model, init)
+        n = 100_000
+        counts = np.zeros(model.n_states)
+        times = np.empty(n)
+        caps = Caps(horizon=1e4)
+        for i in range(n):
+            sim = Simulation(PATH4, spec, lam, CPDG, {0}, caps, seed=replica_seed(41, i))
+            rec = sim.run(snapshot_times=(1.0,))
+            assert rec.outcome == engine.EXTINCT
+            _, infected, open_edges = sim.snapshots[0]
+            counts[model.encode(infected, open_edges)] += 1
+            times[i] = rec.time
+        # chi-square on the t = 1 state: states expected >= 5 times, the
+        # rest pooled into one tail cell (folded into another if it is small)
+        expected *= n
+        big = expected >= 5.0
+        obs, exp = counts[big], expected[big]
+        tail_obs, tail_exp = counts[~big].sum(), expected[~big].sum()
+        if tail_exp >= 5.0:
+            obs, exp = np.append(obs, tail_obs), np.append(exp, tail_exp)
+        else:
+            obs[-1] += tail_obs
+            exp[-1] += tail_exp
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+        se = times.std(ddof=1) / math.sqrt(n)
+        assert abs(times.mean() - ext.mean_time) <= 4 * se
+
+    def test_lazy_trees_match_thinned(self):
+        # no oracle reaches lazy trees; the thinned background, which keeps
+        # its clock on every active edge, is the reference
+        spec = KernelSpec(alpha=0.5, sigma=1.0, nu=2.0, eta=0.5)
+        dist = power_law(2.5)
+        caps = Caps(horizon=20.0)
+        n = 4000
+        alive, times = {}, {}
+        for bg_mode, base in (("explicit", 45), ("thinned", 46)):
+            alive[bg_mode], times[bg_mode] = 0, []
+            for i in range(n):
+                rs = replica_seed(base, i)
+                tree = GraphView.bgw(dist, rs, TreeCaps())
+                rec = run_replica(tree, spec, 2.0, CPDG, {tree.root}, caps, rs,
+                                  bg_mode=bg_mode)
+                assert rec.outcome in (engine.EXTINCT, engine.HORIZON)
+                if rec.outcome == engine.HORIZON:
+                    alive[bg_mode] += 1
+                else:
+                    times[bg_mode].append(rec.time)
+        pooled = (alive["explicit"] + alive["thinned"]) / (2 * n)
+        z = (alive["explicit"] - alive["thinned"]) / n / math.sqrt(pooled * (1 - pooled) * 2 / n)
+        assert 2 * stats.norm.sf(abs(z)) > 1e-3
+        assert stats.ks_2samp(times["explicit"], times["thinned"]).pvalue > 1e-3
 
 
 class TestLazyEagerEquivalence:
@@ -326,35 +395,53 @@ class TestWaitAndSee:
 # golden records: every runner's output for fixed seeds, pinned by digest
 # ---------------------------------------------------------------------------
 
-def _golden_blob() -> str:
-    """repr of records from every runner at fixed seeds, one line per run."""
+GOLDEN_KERNEL = KernelSpec(alpha=0.5, sigma=1.0, nu=1.5)
+
+
+def _golden_trees(variant, bg_mode, lines):
+    """Small BGW trees and the 3-star, one `run_replica` record per seed."""
+    for seed in range(12):
+        tree = grow_bgw(power_law(2.1) if seed % 2 else deterministic(3), seed=seed,
+                        caps=TreeCaps(max_vertices=150, max_depth=60))
+        lines.append(run_replica(tree, GOLDEN_KERNEL, 6.0, variant, {0},
+                                 Caps(horizon=3.0, max_infected=40),
+                                 replica_seed(11, seed), bg_mode=bg_mode))
+    for seed in range(40):
+        lines.append(run_replica(STAR3, GOLDEN_KERNEL, 1.5, variant, {0}, Caps(horizon=30.0),
+                                 replica_seed(12, seed), bg_mode=bg_mode))
+
+
+def _golden_snapshots_and_steps(bg_mode, lines):
+    for seed in range(20):
+        sim = Simulation(STAR3, GOLDEN_KERNEL, 1.5, CPDG, {0}, Caps(horizon=30.0),
+                         replica_seed(13, seed), bg_mode=bg_mode)
+        lines.append((sim.run(snapshot_times=(0.5, 1.0, 2.0, 40.0)),
+                      [(t, sorted(c), sorted(b)) for t, c, b in sim.snapshots]))
+        sim = Simulation(STAR3, GOLDEN_KERNEL, 1.5, CPDG, {0}, Caps(horizon=30.0),
+                         replica_seed(13, seed), bg_mode=bg_mode)
+        lines.append(list(iter(sim.step, None)))
+
+
+def _golden_explicit_blob() -> str:
+    """repr of the explicit-background CPDG runs at fixed seeds, one line per run."""
     lines = []
-    kernel = KernelSpec(alpha=0.5, sigma=1.0, nu=1.5)
-    runs = [(CPDG, "explicit"), (CPDG, "thinned"), (PENALISED, "explicit"),
-            (engine.LOWER_BOUND, "explicit"), (WAIT_AND_SEE, "explicit")]
-    for variant, bg_mode in runs:
-        for seed in range(12):
-            tree = grow_bgw(power_law(2.1) if seed % 2 else deterministic(3), seed=seed,
-                            caps=TreeCaps(max_vertices=150, max_depth=60))
-            lines.append(run_replica(tree, kernel, 6.0, variant, {0},
-                                     Caps(horizon=3.0, max_infected=40),
-                                     replica_seed(11, seed), bg_mode=bg_mode))
-        for seed in range(40):
-            lines.append(run_replica(STAR3, kernel, 1.5, variant, {0}, Caps(horizon=30.0),
-                                     replica_seed(12, seed), bg_mode=bg_mode))
-    for bg_mode in ("explicit", "thinned"):
-        for seed in range(20):
-            sim = Simulation(STAR3, kernel, 1.5, CPDG, {0}, Caps(horizon=30.0),
-                             replica_seed(13, seed), bg_mode=bg_mode)
-            lines.append((sim.run(snapshot_times=(0.5, 1.0, 2.0, 40.0)),
-                          [(t, sorted(c), sorted(b)) for t, c, b in sim.snapshots]))
-            sim = Simulation(STAR3, kernel, 1.5, CPDG, {0}, Caps(horizon=30.0),
-                             replica_seed(13, seed), bg_mode=bg_mode)
-            lines.append(list(iter(sim.step, None)))
+    _golden_trees(CPDG, "explicit", lines)
+    _golden_snapshots_and_steps("explicit", lines)
     path = build_finite([(i, i + 1) for i in range(5)])
     for seed in range(30):
-        lines.append(run_replica(path, kernel, 3.0, CPDG, {0}, Caps(horizon=20.0),
+        lines.append(run_replica(path, GOLDEN_KERNEL, 3.0, CPDG, {0}, Caps(horizon=20.0),
                                  replica_seed(14, seed), target=5))
+    return "\n".join(repr(x) for x in lines)
+
+
+def _golden_blob() -> str:
+    """repr of records from every other runner at fixed seeds, one line per run."""
+    lines = []
+    kernel = GOLDEN_KERNEL
+    for variant, bg_mode in [(CPDG, "thinned"), (PENALISED, "explicit"),
+                             (engine.LOWER_BOUND, "explicit"), (WAIT_AND_SEE, "explicit")]:
+        _golden_trees(variant, bg_mode, lines)
+    _golden_snapshots_and_steps("thinned", lines)
     for seed in range(20):
         sim = Simulation(STAR3, kernel, 1.2, WAIT_AND_SEE, {0}, Caps(horizon=5.0),
                          replica_seed(15, seed))
@@ -379,11 +466,18 @@ def _golden_blob() -> str:
 
 
 class TestGoldenRecords:
-    # sha256 of _golden_blob(); a change that keeps every RNG draw in order
-    # keeps it, so a mismatch means some output changed for a fixed seed.
-    # Re-pinned once when wait-and-see records began to carry their root
-    # reinfections (every other part of the blob was unchanged)
-    DIGEST = "dcaee41c60850076d1c69c657438c7a4b09ea1d1562b392668bb006b0de8ab8c"
+    # sha256 of the blobs; a change that keeps every RNG draw in order keeps
+    # them, so a mismatch means some output changed for a fixed seed.
+    # DIGEST covers every runner but the explicit-background CPDG and holds
+    # since wait-and-see records began to carry their root reinfections.
+    # EXPLICIT_DIGEST was re-pinned when that background began to run as
+    # flips, with infection clocks only on open edges (same law, fewer draws)
+    DIGEST = "1bc12c176efe1db6a687223e304623d6a96bf030f3677ec4d4779a01c7ac07ba"
+    EXPLICIT_DIGEST = "1f88dd9c0660c81bc33502ef297a7094f1fe41263a0e3fe0c8cc2d22d8f47cc4"
 
     def test_records_are_bit_identical(self):
         assert hashlib.sha256(_golden_blob().encode()).hexdigest() == self.DIGEST
+
+    def test_explicit_cpdg_records_are_bit_identical(self):
+        blob = _golden_explicit_blob()
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.EXPLICIT_DIGEST

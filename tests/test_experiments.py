@@ -101,10 +101,12 @@ class TestEstimateSurvival:
 
 class TestBracket:
     def test_bisection_arithmetic(self):
+        # exact P(alive at 12) is 0.302 at lambda = 4 and 0.616 at 8, so
+        # lam_hi = 8 brackets the target 0.3 whatever the sample
         res = bracket_lambda(STAR_SPEC, KernelSpec(alpha=0.2), horizon=12.0,
-                             replicas=600, target=0.3, lam_lo=0.0, lam_hi=4.0,
+                             replicas=600, target=0.3, lam_lo=0.0, lam_hi=8.0,
                              iterations=5, seed=5)
-        assert res.lam_hi - res.lam_lo == pytest.approx(4.0 * 2 ** -5)
+        assert res.lam_hi - res.lam_lo == pytest.approx(8.0 * 2 ** -5)
         assert res.estimate_lo.p_alive <= 0.3 + 0.1
         assert res.estimate_hi.p_alive >= 0.3 - 0.1
 
@@ -219,6 +221,18 @@ class TestStars:
                                 replicas=150, seed=first)
             samples.append([r.extinction_time for r in rep.records[0].replicas])
         assert stats.ks_2samp(*samples).pvalue > 1e-3
+
+    def test_trace_covers_the_stable_windows(self):
+        # 412 stable windows outgrow the first background's 256; the flag
+        # must be judged on all of them, or the replica censored
+        args = ([15000], 4, 0.05, KernelSpec(alpha=0.2, sigma=0.0), deterministic(2))
+        rec = star_survival(*args, replicas=1, seed=1).records[0]
+        assert rec.constants.stable_windows == 412
+        (rr,) = rec.replicas
+        assert len(rr.good_trace) == 413
+        assert rr.stable == (min(rr.good_trace) > rec.constants.threshold)
+        (rr,) = star_survival(*args, replicas=1, seed=1, max_windows=300).records[0].replicas
+        assert rr.outcome == engine.CAP and rr.good_trace == ()
 
 
 class TestPath:
