@@ -14,7 +14,9 @@ per subcommand, one `simulate` config (with records) for each engine path
 the others leave out (the `wait_and_see`, `penalised` and `lower_bound`
 variants and the thinned CPDG background), a second star-survival config
 whose children differ (random degrees with some dropped, eta > 0, nu != 1;
-the other star configs give every child degree 3), and batch 0 (seed 601)
+the other star configs give every child degree 3), a stable-star config
+with the same offspring law (three degree classes of different p), and
+batch 0 (seed 601)
 of the `bgw_survival` and `star_samplers` benchmark workloads.
 """
 
@@ -64,6 +66,10 @@ def configs():
          {"kernel": {"alpha": 0.3, "sigma": 0.5, "eta": 0.5, "nu": 3.0},
           "dist": {"kind": "geometric", "q": 0.3, "k0": 1}, "n_values": [5, 12],
           "degree_bound": 4, "lambda": 0.5, "replicas": 40, "seed": 5}),
+        ("stable star random degrees", "star",
+         {"kernel": {"alpha": 0.4, "sigma": 0.5},
+          "dist": {"kind": "geometric", "q": 0.3, "k0": 1}, "n_values": [300, 2000],
+          "degree_bound": 4, "replicas": 300, "stability_only": True, "seed": 6}),
         ("path", "path", {"kernel": {"alpha": 0.5}, "r_values": [1, 2, 3], "degree": 3,
                           "lambda": 0.5, "replicas": 200, "seed": 4}),
         ("phase", "phase", {"alpha": 0.3, "eta": 0.1, "tail": "power_law"}),

@@ -232,57 +232,102 @@ class StableStarReport:
     master_seed: int
 
 
+# the most windows a star experiment realizes: star_survival's default
+# max_windows, and the cap on the stable-star horizon
+MAX_WINDOWS = 1 << 14
+
+# The stable-star count chain. Window k is good for a child open at kT whose
+# cells k-2..k+1 hold no update and no recovery; cells before cell 0 count as
+# free. Seen at window k, with cells up to k+1 drawn, all that decides a
+# child's later windows is one of nine states:
+#   _OPEN + r    open, no update in cells k and k+1, the last r cells free
+#                (r capped at 4; window k is good in _OPEN + 4)
+#   _CLOSED      closed, no update in cells k and k+1
+#   _UPD         an update in cell k+1
+#   _UPD_FREE    an update in cell k, cell k+1 free
+#   _UPD_REC     an update in cell k, cell k+1 a recovery only
+# One step draws cell k+2 (free, recovery only or update) and, after an
+# update in cell k, a fresh open bit. Children of one degree class are
+# i.i.d., so the counts of children per state are a Markov chain.
+_OPEN, _CLOSED, _UPD, _UPD_FREE, _UPD_REC = 0, 5, 6, 7, 8
+_N_STATES = 9
+_GOOD_STATE = _OPEN + 4
+# a step's destinations: for _OPEN + r, _CLOSED and _UPD cell k+2 free,
+# recovery only, update (and a last, empty column); for _UPD_FREE and
+# _UPD_REC open with cell k+2 free, open with a recovery only, closed
+# without an update, and an update
+_NEXT_STATE = np.array(
+    [[_OPEN + min(r + 1, 4), _OPEN, _UPD, _UPD] for r in range(5)]
+    + [[_CLOSED, _CLOSED, _UPD, _UPD],
+       [_UPD_FREE, _UPD_REC, _UPD, _UPD],
+       [_OPEN + 2, _OPEN, _CLOSED, _UPD],
+       [_OPEN + 1, _OPEN, _CLOSED, _UPD]])
+
+
+def _stable_star_chain(n: int, degree_bound: int, kernel: KernelSpec,
+                       dist: OffspringDistribution, t_cell: float):
+    """Per degree class d = 1..degree_bound: the child law (with the dropped
+    children's mass last), the state law at window 0 and the step law."""
+    degrees = np.arange(1, degree_bound + 1)
+    mass = np.array([dist.pmf_at(d - 1) for d in degrees])
+    mass = np.append(mass, max(0.0, 1.0 - mass.sum()))
+    p = p_value_array(kernel, np.full(degree_bound, n), degrees)
+    u = 1.0 - np.exp(-kernel.nu * np.maximum(float(n), degrees) ** kernel.eta * t_cell)
+    q_rec = 1.0 - math.exp(-t_cell)
+    f, r = (1.0 - u) * (1.0 - q_rec), (1.0 - u) * q_rec  # free, recovery only
+    zero = np.zeros(degree_bound)
+    # window 0 reads cells 0 and 1 and an open bit stationary at time 0
+    init = np.stack((p * (f + r) * r, p * r * f, zero, zero, p * f * f,
+                     (1.0 - p) * (f + r) ** 2, u, u * f, u * r), axis=1)
+    carry = np.stack((f, r, u, zero), axis=1)
+    redraw = np.stack((p * f, p * r, (1.0 - p) * (f + r), u), axis=1)
+    step = np.stack([carry] * 7 + [redraw] * 2, axis=1)
+    return mass, init, step
+
+
+def _good_counts(n, chain, windows, gen, floor):
+    """Good-neighbour counts of windows 0..windows of one star replica,
+    stopping after the first count <= floor."""
+    mass, init, step = chain
+    children = gen.multinomial(n, mass)[:-1]
+    present = np.nonzero(children)[0]
+    counts = gen.multinomial(children[present], init[present]).ravel()
+    step = step[present].reshape(-1, 4)
+    dest = (_NEXT_STATE + _N_STATES * np.arange(present.size)[:, None, None]).ravel()
+    trace = []
+    for k in range(windows + 1):
+        good = int(counts[_GOOD_STATE::_N_STATES].sum())
+        trace.append(good)
+        if good <= floor or k == windows:
+            return trace
+        moved = gen.multinomial(counts, step).ravel()
+        counts = np.bincount(dest, weights=moved, minlength=counts.size).astype(np.int64)
+
+
 def stable_star_frequency(n: int, degree_bound: int, kernel: KernelSpec,
                           dist: OffspringDistribution, replicas: int,
                           seed: int) -> StableStarReport:
     """Empirical frequency of the stable-star event around a degree-n root.
 
     The good-neighbour sets are functions of per-window-cell event indicators
-    (any update / any recovery in each length-T cell) and of the redraw chain,
-    which this samples exactly and fully vectorized over the children.
+    (any update / any recovery in each length-T cell) and of the redraw chain.
+    Children of one degree class are i.i.d., so the counts of children per
+    window state are a Markov chain (nine states per class), sampled exactly
+    with one multinomial draw per window: a replica's cost does not grow
+    with n.
+    Raises ExperimentError when the stable horizon exceeds MAX_WINDOWS.
     """
     sc = star_constants(n, degree_bound, 1.0, kernel, dist)  # lam unused here
     n_windows = sc.stable_windows  # windows 0..n_windows inclusive
-    n_cells = n_windows + 2
-    t_cell = sc.window
+    if n_windows > MAX_WINDOWS:
+        raise ExperimentError(
+            f"stable star at n={n} spans {n_windows:.3g} windows, over the cap of {MAX_WINDOWS}")
+    chain = _stable_star_chain(n, degree_bound, kernel, dist, sc.window)
     stable_count = 0
     for i in range(replicas):
         gen = np.random.default_rng(replica_seed(seed, i))
-        zeta = dist.sample_array(gen, n)
-        deg = zeta + 1
-        keep = deg <= degree_bound
-        deg = deg[keep]
-        m = deg.size
-        if m == 0:
-            continue
-        p_arr = p_value_array(kernel, np.full(m, n), deg)
-        v_arr = kernel.nu * np.maximum(float(n), deg) ** kernel.eta
-        q_up = 1.0 - np.exp(-v_arr * t_cell)
-        q_rec = 1.0 - math.exp(-t_cell)
-        upd = gen.random((m, n_cells)) < q_up[:, None]
-        rec = gen.random((m, n_cells)) < q_rec
-        blocked = upd | rec
-        state = gen.random(m) < p_arr  # stationary at time 0
-        ok = True
-        # cumulative "no events in cells k-2..k+1"; track states at window starts
-        states = np.empty((n_windows + 1, m), dtype=bool)
-        states[0] = state
-        for k in range(1, n_windows + 1):
-            fresh = gen.random(m) < p_arr
-            state = np.where(upd[:, k - 1], fresh, state)
-            states[k] = state
-        blocked_cum = np.zeros((n_cells + 1, m), dtype=np.int16)
-        np.cumsum(blocked.T, axis=0, out=blocked_cum[1:])
-        for k in range(n_windows + 1):
-            lo = max(k - 2, 0)
-            hi = min(k + 2, n_cells)  # cells lo..hi-1
-            free = blocked_cum[hi] == blocked_cum[lo]
-            count = int(np.count_nonzero(states[k] & free))
-            if count <= sc.threshold:
-                ok = False
-                break
-        if ok:
-            stable_count += 1
+        trace = _good_counts(n, chain, n_windows, gen, sc.threshold)
+        stable_count += min(trace) > sc.threshold
     freq = stable_count / replicas
     return StableStarReport(
         n=n, degree_bound=degree_bound, replicas=replicas, stable=stable_count,
@@ -323,9 +368,10 @@ class StarScalingReport:
     master_seed: int
 
 
-# windows in a replica's first background; a test changes it to check that
-# retries do not change the law
-_FIRST_WINDOWS = 256
+# fewest windows in a replica's first background: half the races end within
+# 3-8 windows at lam = 0.4, N = 50..400, and a retry doubles the background.
+# A test changes it to check that retries do not change the law.
+_FIRST_WINDOWS = 16
 
 
 def _star_replica(n: int, sc: StarConstants, lam: float, kernel: KernelSpec,
@@ -333,29 +379,30 @@ def _star_replica(n: int, sc: StarConstants, lam: float, kernel: KernelSpec,
     """One restricted-star run: good-window structure plus the infection race.
 
     Infection events between the centre and a child are valid only while the
-    child is a good neighbour of some window covering the current time. An
-    attempt whose result the realized background does not determine is
-    replayed, with the same race stream, on a background extended to twice as
-    many windows; the replay follows the same trajectory as far as the shorter
-    background determined it. A background that does not yet cover the
-    stable windows 0..sc.stable_windows is extended the same way before any
-    attempt, so the stable-star flag is always judged on all of them.
+    child is a good neighbour of some window covering the current time. The
+    first background covers the stable windows 0..sc.stable_windows and at
+    least _FIRST_WINDOWS windows, so the stable-star flag is always judged on
+    all of them. An attempt whose result the realized background does not
+    determine is replayed, with the same race stream, on a background
+    extended to twice as many windows; the replay follows the same trajectory
+    as far as the shorter background determined it.
     """
-    gen = np.random.default_rng(mix(rs, 1))
-    zeta = dist.sample_array(gen, n)
-    deg = zeta + 1
-    deg = deg[deg <= sc.degree_bound]
-    bg = _StarBackground(n, kernel, deg, sc.window, min(_FIRST_WINDOWS, max_windows),
-                         np.random.default_rng(mix(rs, 3)))
-    while True:
-        if bg.k_max >= sc.stable_windows:
+    if sc.stable_windows <= max_windows:
+        gen = np.random.default_rng(mix(rs, 1))
+        zeta = dist.sample_array(gen, n)
+        deg = zeta + 1
+        deg = deg[deg <= sc.degree_bound]
+        bg = _StarBackground(n, kernel, deg, sc.window,
+                             min(max(_FIRST_WINDOWS, sc.stable_windows), max_windows),
+                             np.random.default_rng(mix(rs, 3)))
+        while True:
             result, t_safe = _star_attempt(sc, lam, bg, random.Random(mix(rs, 4)))
             if result is not None and result.extinction_time < t_safe:
                 return result
-        if bg.k_max >= max_windows:
-            break
-        k_max = min(2 * bg.k_max, max_windows)
-        bg.extend(k_max, np.random.default_rng(mix(rs, 3, k_max)))
+            if bg.k_max >= max_windows:
+                break
+            k_max = min(2 * bg.k_max, max_windows)
+            bg.extend(k_max, np.random.default_rng(mix(rs, 3, k_max)))
     # still alive where the background of max_windows windows stops deciding,
     # or max_windows cannot hold the stable windows
     horizon = (max_windows + 2) * sc.window
@@ -542,7 +589,7 @@ def _star_attempt(sc, lam, bg, py):
 
 def star_survival(n_values, degree_bound: int, lam: float, kernel: KernelSpec,
                   dist: OffspringDistribution, replicas: int, seed: int,
-                  max_windows: int = 1 << 14) -> StarScalingReport:
+                  max_windows: int = MAX_WINDOWS) -> StarScalingReport:
     """Restricted-star survival across star sizes, with a scaling report.
 
     Per size: the per-replica minimum good-neighbour count, the stable-star
@@ -552,7 +599,9 @@ def star_survival(n_values, degree_bound: int, lam: float, kernel: KernelSpec,
 
     A replica attempt costs O(m * k_max) array work plus O(events) Python
     work in the infection race, for m kept children and a background of
-    k_max windows: 256 at first, doubled on each retry up to max_windows.
+    k_max windows: at first the stable windows and at least 16, doubled on
+    each retry up to max_windows. A star whose stable windows exceed
+    max_windows is censored without a draw.
     """
     records = []
     all_times = []

@@ -4,7 +4,9 @@ These deliberately avoid the closed forms they are checking: the edge race is
 simulated as the raw jump process (open/close/infect/recover clocks), and the
 geometric sum is assembled from its defining pieces. The star attempt is the
 per-child loop sampler that the flat-array one in `cpdg.experiments` replaced;
-the two must return equal records from the same streams.
+the two must return equal records from the same streams. The stable star is
+the per-child sampler that the count chain replaced; the two must agree in
+law.
 """
 
 import bisect
@@ -62,6 +64,44 @@ def random_connected_graph(n_vertices, seed, extra_edge_prob=0.4):
                 edges.append(key)
                 break
     return build_finite(edges)
+
+
+def stable_star_reference(n, kernel, dist, degree_bound, t_cell, n_windows, gen):
+    """Good-neighbour counts of windows 0..n_windows around a degree-n root,
+    sampled child by child (per-window-cell update and recovery indicators
+    and the redraw chain)."""
+    n_cells = n_windows + 2
+    zeta = dist.sample_array(gen, n)
+    deg = zeta + 1
+    keep = deg <= degree_bound
+    deg = deg[keep]
+    m = deg.size
+    if m == 0:
+        return np.zeros(n_windows + 1, dtype=np.int64)
+    p_arr = p_value_array(kernel, np.full(m, n), deg)
+    v_arr = kernel.nu * np.maximum(float(n), deg) ** kernel.eta
+    q_up = 1.0 - np.exp(-v_arr * t_cell)
+    q_rec = 1.0 - math.exp(-t_cell)
+    upd = gen.random((m, n_cells)) < q_up[:, None]
+    rec = gen.random((m, n_cells)) < q_rec
+    blocked = upd | rec
+    state = gen.random(m) < p_arr  # stationary at time 0
+    # cumulative "no events in cells k-2..k+1"; track states at window starts
+    states = np.empty((n_windows + 1, m), dtype=bool)
+    states[0] = state
+    for k in range(1, n_windows + 1):
+        fresh = gen.random(m) < p_arr
+        state = np.where(upd[:, k - 1], fresh, state)
+        states[k] = state
+    blocked_cum = np.zeros((n_cells + 1, m), dtype=np.int16)
+    np.cumsum(blocked.T, axis=0, out=blocked_cum[1:])
+    counts = np.empty(n_windows + 1, dtype=np.int64)
+    for k in range(n_windows + 1):
+        lo = max(k - 2, 0)
+        hi = min(k + 2, n_cells)  # cells lo..hi-1
+        free = blocked_cum[hi] == blocked_cum[lo]
+        counts[k] = np.count_nonzero(states[k] & free)
+    return counts
 
 
 def star_attempt_reference(n, sc, lam, kernel, deg, m, gen, py, k_max, stable_w):

@@ -298,6 +298,15 @@ class TestErrorExits:
         assert rc == 2
         assert out.startswith("error: 2^(13+12) = 33554432 states exceeds the cap")
 
+    def test_stable_star_over_the_window_cap(self):
+        cfg = {"kernel": {"alpha": 0.2, "sigma": 0.0},
+               "dist": {"kind": "deterministic", "d": 2}, "n_values": [10**6],
+               "degree_bound": 4, "replicas": 1, "stability_only": True}
+        rc, out, _ = run_dispatch("star", cfg)
+        assert rc == 2
+        assert out.startswith("error: stable star at n=1000000 spans ")
+        assert out.endswith("windows, over the cap of 16384\n")
+
     @pytest.mark.parametrize("subcommand, cfg", [
         ("simulate", SIM),
         ("oracle", {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}),

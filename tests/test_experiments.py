@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import star_attempt_reference
+from _oracles import stable_star_reference, star_attempt_reference
 from cpdg import engine, experiments
 from cpdg.closedform import star_constants
 from cpdg.experiments import (BGWGraphSpec, ExperimentError, FiniteGraphSpec,
@@ -136,6 +136,26 @@ class TestBracket:
         assert 0.05 <= res.lam_lo < res.lam_hi <= 8.0
 
 
+def two_sample_chi2(a, b):
+    """p of a two-sample chi-squared test on integer samples; neighbouring
+    values are pooled until each cell holds at least 10 of the two samples'
+    values together."""
+    values, counts = np.unique(np.concatenate((a, b)), return_counts=True)
+    edges, pooled = [], 0
+    for v, c in zip(values, counts):
+        if pooled >= 10:
+            edges.append(v)
+            pooled = 0
+        pooled += c
+    if pooled < 10 and edges:
+        edges.pop()  # the last cell joins the one before it
+    if not edges:
+        return 1.0
+    table = [np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
+             for x in (a, b)]
+    return float(stats.chi2_contingency(table).pvalue)
+
+
 class TestStars:
     kernel = KernelSpec(alpha=0.2, sigma=0.0, kappa=1.0, eta=0.0, nu=1.0)
 
@@ -144,6 +164,37 @@ class TestStars:
                                     replicas=400, seed=8)
         se = math.sqrt(max(rep.frequency * (1 - rep.frequency), 1e-9) / rep.replicas)
         assert rep.frequency >= rep.bound - 3 * se
+
+    @pytest.mark.parametrize("dist, kernel", [
+        (deterministic(2), KernelSpec(alpha=0.2, sigma=0.0)),  # one degree class
+        # three classes with different p and none of degree 1
+        (geometric(0.3, 1), KernelSpec(alpha=0.5, sigma=1.0, kappa=3.0, nu=2.0)),
+    ])
+    def test_count_chain_matches_per_child_sampler(self, dist, kernel):
+        n, windows, t_cell, traces = 30, 20, 0.15, 3000
+        chain = experiments._stable_star_chain(n, 4, kernel, dist, t_cell)
+        new = np.array([experiments._good_counts(n, chain, windows,
+                                                 np.random.default_rng([1, i]), -1)
+                        for i in range(traces)])
+        ref = np.array([stable_star_reference(n, kernel, dist, 4, t_cell, windows,
+                                              np.random.default_rng([2, i]))
+                        for i in range(traces)])
+        assert new.shape == ref.shape == (traces, windows + 1)
+        samples = [(f"window {k}", new[:, k], ref[:, k]) for k in (0, 1, 2, windows)]
+        samples += [("minimum", new.min(axis=1), ref.min(axis=1)),
+                    ("windows <= 1", (new <= 1).sum(axis=1), (ref <= 1).sum(axis=1))]
+        for label, a, b in samples:
+            assert two_sample_chi2(a, b) > 1e-3, label
+
+    def test_stable_horizon_cap(self):
+        # 1.9e75 stable windows at n = 1e6; the sampler refuses before drawing
+        with pytest.raises(ExperimentError, match=r"n=1000000 .* cap of 16384"):
+            stable_star_frequency(10**6, 4, self.kernel, deterministic(2),
+                                  replicas=1, seed=1)
+        # star survival censors such a star without drawing its background
+        (rr,) = star_survival([10**5], 4, 0.4, self.kernel, deterministic(2),
+                              replicas=1, seed=1).records[0].replicas
+        assert rr.outcome == engine.CAP and rr.good_trace == ()
 
     def test_survival_records_consistent(self):
         rep = star_survival([30, 60], 4, 0.4, self.kernel, deterministic(2),
@@ -212,10 +263,11 @@ class TestStars:
         assert 0 < decided < 40
 
     def test_first_background_length_keeps_the_law(self, monkeypatch):
-        # at these parameters ~40 % of replicas outlive 256 windows, so
-        # accepting a retry's race unchecked pulled extinction times down
+        # at these parameters ~90 % of replicas outlive 16 windows, so the law
+        # rests on the retries; accepting a retry's race unchecked pulled
+        # extinction times down
         samples = []
-        for first in (256, 1024):
+        for first in (16, 1024):
             monkeypatch.setattr(experiments, "_FIRST_WINDOWS", first)
             rep = star_survival([1000], 4, 1.2, self.kernel, deterministic(2),
                                 replicas=150, seed=first)
@@ -223,7 +275,7 @@ class TestStars:
         assert stats.ks_2samp(*samples).pvalue > 1e-3
 
     def test_trace_covers_the_stable_windows(self):
-        # 412 stable windows outgrow the first background's 256; the flag
+        # 412 stable windows outgrow the first background's 16; the flag
         # must be judged on all of them, or the replica censored
         args = ([15000], 4, 0.05, KernelSpec(alpha=0.2, sigma=0.0), deterministic(2))
         rec = star_survival(*args, replicas=1, seed=1).records[0]
