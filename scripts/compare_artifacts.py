@@ -12,7 +12,8 @@ difference.
 The configs: both determinism configs of the acceptance suite, one config
 per subcommand, one `simulate` config (with records) for each engine path
 the others leave out (the `wait_and_see`, `penalised` and `lower_bound`
-variants and the thinned CPDG background), a second star-survival config
+variants and the thinned CPDG background), a `simulate` config on lazy trees
+whose root degree is forced (`graph.root_degree`), a second star-survival config
 whose children differ (random degrees with some dropped, eta > 0, nu != 1;
 the other star configs give every child degree 3), a stable-star config
 with the same offspring law (three degree classes of different p), and
@@ -86,6 +87,11 @@ def configs():
                                  ("penalised", {"variant": "penalised"}),
                                  ("lower_bound", {"variant": "lower_bound"}),
                                  ("cpdg thinned", {"bg_mode": "thinned"}))]
+    out.append(("simulate bgw root_degree", "simulate",
+                {"graph": {"kind": "bgw", "dist": {"kind": "geometric", "q": 0.4, "k0": 1},
+                           "root_degree": 6, "max_vertices": 5000},
+                 "kernel": {"alpha": 0.5}, "lambda": 1.5, "horizon": 5.0, "replicas": 200,
+                 "records": True, "seed": 8}))
     with tempfile.TemporaryDirectory() as scratch:
         out.append(("bgw_survival batch 0", "simulate",
                      workloads.BGWSurvival(601, "full", scratch).config(0)))

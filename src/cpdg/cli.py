@@ -367,8 +367,12 @@ def build_kernel(block) -> KernelSpec:
 def build_graph_spec(block):
     kind = block["kind"]
     if kind == "bgw":
+        dist = build_dist(block["dist"])
+        if "root_degree" in block and dist.pmf_at(block["root_degree"]) <= 0.0:
+            raise ConfigError([f"graph.root_degree: {block['root_degree']} is outside the "
+                               f"offspring support"])
         return experiments.BGWGraphSpec(
-            dist=build_dist(block["dist"]),
+            dist=dist,
             caps=TreeCaps(**_given(block, "max_vertices", "max_depth")),
             **_given(block, "root_degree"))
     if kind == "finite":
@@ -479,7 +483,7 @@ def dispatch(config: ExperimentConfig, out_dir: str | None = None,
         failures, summary_rows, records, report = handler(config, stream)
     except (ConfigError, GraphError, DistributionError, KernelError,
             closedform.ConditionError, experiments.ExperimentError,
-            oracle.StateCapExceeded) as exc:
+            oracle.StateCapExceeded, oracle.UniformizationError) as exc:
         stream.write(f"error: {exc}\n")
         if out_dir:
             write_artifacts(out_dir, config, [], report={"failure": str(exc)})

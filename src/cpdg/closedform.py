@@ -43,14 +43,6 @@ def bg_transition(p: float, v: float, open_now: bool, elapsed: float) -> float:
     return p * (1.0 - decay)
 
 
-def two_state_hit_prob(lam: float, m: int, t: float) -> float:
-    """P(centre infected at t) with m non-recovering infected leaves, centre healthy at 0."""
-    if m < 1 or t < 0:
-        raise ConditionError("need m >= 1 and t >= 0")
-    rate = lam * m
-    return rate / (rate + 1.0) * (1.0 - math.exp(-(rate + 1.0) * t))
-
-
 # ---------------------------------------------------------------------------
 # single-edge transmission law
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ edge is open: a tick that finds its edge closed dies, and a flip to open
 re-arms it. Both are exact by memorylessness; together they schedule no tick
 on a closed edge and no update that keeps an edge's state.
 
-Three families of runners live here:
+Two families of runners live here:
 
 * ``Simulation`` / ``run_replica`` - the production path (single fast RNG)
   for all four processes: the CPDG (explicit or thinned background), the
@@ -23,9 +23,6 @@ Three families of runners live here:
   wait-and-see process. One event loop serves them; caps, tree-truncation
   censoring, root-reinfection records, ``target``, ``allowed`` and
   snapshots work alike for every variant.
-* ``KeyedSimulation`` - per-edge / per-vertex seeded streams with replayed
-  activation, used to check that adaptive (lazy) activation and activating
-  everything at time zero (``_eager_setup``) give bit-identical trajectories.
 * coupled runners (``run_coupled``, ``run_coupled_lambda``,
   ``run_waitandsee_dominating``) - a lower and an upper process driven by one
   realization of the streams ``_eager_setup`` builds. All three share one
@@ -442,7 +439,7 @@ def run_replica(graph: GraphView, kernel: KernelSpec, lam: float, variant: str,
 
 
 # ---------------------------------------------------------------------------
-# keyed streams: activation-order soundness
+# keyed streams: one per edge and per vertex, realized from time zero
 # ---------------------------------------------------------------------------
 
 class _EdgeStreams:
@@ -495,108 +492,6 @@ def _eager_setup(graph, kernel, seed, lam_clock, with_thin):
         seq += 1
         heappush(queue, (-math.log(stream.random()), seq, RECOVER, x, -1))
     return queue, seq, edges, recs
-
-
-class KeyedSimulation:
-    """CPDG with per-edge / per-vertex seeded streams and replayed activation.
-
-    With ``eager=True`` every edge and recovery stream is realized from time
-    zero by ``_eager_setup``, exactly as the coupled runners realize them;
-    with ``eager=False`` an edge's streams are fast-forwarded to the current
-    time when it first touches the infection. Both modes consume the same
-    per-entity streams in the same order, so identical seeds must give
-    bit-identical infection trajectories; this is the activation-order
-    soundness check behind the default lazy engine.
-
-    It is an activation-order oracle, not a byte twin of ``Simulation``: it
-    still ticks every edge's infection clock whether the edge is open or
-    closed and redraws the edge state at every update.
-    """
-
-    def __init__(self, graph: GraphView, kernel: KernelSpec, lam: float,
-                 init, horizon: float, seed: int, eager: bool):
-        self.graph = graph
-        self.kernel = kernel
-        self.lam = lam
-        self.horizon = horizon
-        self.seed = seed
-        self.infected = set()
-        self.trajectory = []  # (t, "+"|"-", vertex)
-        self.clock = 0.0
-        if eager:
-            self._queue, self._seq, self._edges, self._rec = _eager_setup(
-                graph, kernel, seed, lam, with_thin=False)
-        else:
-            self._queue, self._seq, self._edges, self._rec = [], 0, {}, {}
-        for x in sorted(set(init)):
-            self._mark_infected(x, 0.0)
-
-    def _push(self, t, kind, u, v):
-        self._seq += 1
-        heappush(self._queue, (t, self._seq, kind, u, v))
-
-    def _create_edge(self, u, v, t):
-        e = _edge_streams(self.graph, self.kernel, self.seed, u, v)
-        # replay background updates that happened before t
-        while e.next_up <= t:
-            e.open = e.bg.random() < e.p
-            e.next_up += -math.log(e.bg.random()) / e.v
-        self._push(e.next_up, UPDATE, u, v)
-        if self.lam > 0.0:
-            # replay the infection clock up to t
-            s = -math.log(e.inf.random()) / self.lam
-            while s <= t:
-                s += -math.log(e.inf.random()) / self.lam
-            self._push(s, INFECT, u, v)
-        self._edges[(u, v)] = e
-
-    def _create_vertex(self, x, t):
-        stream = random.Random(mix(self.seed, TAG_VERTEX, x))
-        s = -math.log(stream.random())
-        while s <= t:
-            s += -math.log(stream.random())
-        self._rec[x] = stream
-        self._push(s, RECOVER, x, -1)
-
-    def _mark_infected(self, y, t):
-        self.infected.add(y)
-        self.trajectory.append((t, "+", y))
-        if y not in self._rec:
-            self._create_vertex(y, t)
-        for z in self.graph.neighbors(y):
-            key = (y, z) if y < z else (z, y)
-            if key not in self._edges:
-                self._create_edge(key[0], key[1], t)
-
-    def run(self):
-        queue = self._queue
-        infected = self.infected
-        while queue and infected:
-            t, _, kind, u, v = heappop(queue)
-            if t >= self.horizon:
-                self.clock = self.horizon
-                return self
-            self.clock = t
-            if kind == RECOVER:
-                s = t - math.log(self._rec[u].random())
-                self._push(s, RECOVER, u, -1)
-                if u in infected:
-                    infected.remove(u)
-                    self.trajectory.append((t, "-", u))
-                continue
-            e = self._edges[(u, v)]
-            if kind == UPDATE:
-                e.open = e.bg.random() < e.p
-                e.next_up = t - math.log(e.bg.random()) / e.v
-                self._push(e.next_up, UPDATE, u, v)
-                continue
-            # INFECT
-            self._push(t - math.log(e.inf.random()) / self.lam, INFECT, u, v)
-            if e.open:
-                ui, vi = u in infected, v in infected
-                if ui != vi:
-                    self._mark_infected(v if ui else u, t)
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Monte Carlo experiment harnesses.
 
-Survival estimation with finite-horizon proxies, pseudo-critical bracketing,
-star-survival and stable-star experiments (with a dedicated star simulator
-that realizes the good-neighbour window structure exactly), path-transmission
-probabilities against the closed-form lower bound, and the fast-update
-comparison of the dynamical process with its penalised limit.
+Survival estimation with finite-horizon proxies, star-survival and
+stable-star experiments (with a dedicated star simulator that realizes the
+good-neighbour window structure exactly), and path-transmission
+probabilities against the closed-form lower bound.
 
 Weak survival proxy: still infected at the horizon. Strong survival proxy:
 the root is reinfected during the second half of the run. Both are recorded
@@ -164,53 +163,6 @@ def estimate_survival(spec, kernel: KernelSpec, lam: float, horizon: float,
         wilson=wilson_interval(alive, replicas), master_seed=seed, variant=variant,
     )
     return est, records
-
-
-@dataclass(frozen=True)
-class BracketResult:
-    lam_lo: float
-    lam_hi: float
-    estimate_lo: SurvivalEstimate
-    estimate_hi: SurvivalEstimate
-    target: float
-    iterations: int
-    evaluations: tuple
-
-
-def bracket_lambda(spec, kernel: KernelSpec, horizon: float, replicas: int,
-                   target: float, lam_lo: float, lam_hi: float,
-                   iterations: int, seed: int, bg_mode: str = "explicit") -> BracketResult:
-    """Bisection bracket for the survival-probability crossing of `target`.
-
-    Relies on monotonicity of survival in the infection rate; rejects ranges
-    whose endpoint estimates do not straddle the target.
-    """
-    if not lam_lo < lam_hi:
-        raise ExperimentError(f"degenerate rate range [{lam_lo}, {lam_hi}]")
-    evals = []
-
-    def run(lam, k):
-        est, _ = estimate_survival(spec, kernel, lam, horizon, replicas,
-                                   mix(seed, TAG_EXPERIMENT, k), bg_mode=bg_mode)
-        evals.append(est)
-        return est
-
-    est_lo = run(lam_lo, 0)
-    est_hi = run(lam_hi, 1)
-    if est_lo.p_alive > target or est_hi.p_alive < target:
-        raise ExperimentError(
-            f"range does not bracket the target: P(alive) = {est_lo.p_alive:.3f} at "
-            f"{lam_lo} and {est_hi.p_alive:.3f} at {lam_hi}, target {target}")
-    for k in range(iterations):
-        mid = 0.5 * (lam_lo + lam_hi)
-        est = run(mid, 2 + k)
-        if est.p_alive >= target:
-            lam_hi, est_hi = mid, est
-        else:
-            lam_lo, est_lo = mid, est
-    return BracketResult(lam_lo=lam_lo, lam_hi=lam_hi, estimate_lo=est_lo,
-                         estimate_hi=est_hi, target=target,
-                         iterations=iterations, evaluations=tuple(evals))
 
 
 # ---------------------------------------------------------------------------
@@ -709,58 +661,3 @@ def path_transmission(r_values, degree: int, lam: float, kernel: KernelSpec,
     r2 = float(stats.linregress(xs, ys).rvalue ** 2) if len(xs) >= 3 else math.nan
     return PathReport(points=tuple(points), degree=degree, lam=lam,
                       within_factor=within_factor, log_r2=r2, master_seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# penalised / lower-bound comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonPoint:
-    nu: float
-    p_cpdg: float
-    p_lower: float
-    ordering_ok: bool  # P(lower) <= P(cpdg) within 3 combined SE
-    gap_to_penalised: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    points: tuple
-    p_penalised: float
-    lam: float
-    horizon: float
-    replicas: int
-    master_seed: int
-
-
-def penalised_comparison(spec, kernel: KernelSpec, lam: float, nu_values,
-                         horizon: float, replicas: int, seed: int) -> ComparisonReport:
-    """Survival of the CPDG along growing update speeds vs the penalised limit.
-
-    Asserts (statistically) that the static lower-bound process never beats
-    the CPDG, and reports the shrinking gap to the penalised process. The
-    CPDG runs use the exact thinned background (no update events), which is
-    what makes large nu affordable.
-    """
-    pen_est, _ = estimate_survival(spec, kernel, lam, horizon, replicas,
-                                   mix(seed, TAG_EXPERIMENT, 0),
-                                   variant=engine.PENALISED)
-    points = []
-    for j, nu in enumerate(sorted(nu_values)):
-        kern = replace(kernel, nu=float(nu))
-        cp, _ = estimate_survival(spec, kern, lam, horizon, replicas,
-                                  mix(seed, TAG_EXPERIMENT, 2 * j + 1),
-                                  bg_mode="thinned")
-        lo, _ = estimate_survival(spec, kern, lam, horizon, replicas,
-                                  mix(seed, TAG_EXPERIMENT, 2 * j + 2),
-                                  variant=engine.LOWER_BOUND)
-        se = math.sqrt(cp.se_alive ** 2 + lo.se_alive ** 2)
-        points.append(ComparisonPoint(
-            nu=float(nu), p_cpdg=cp.p_alive, p_lower=lo.p_alive,
-            ordering_ok=lo.p_alive <= cp.p_alive + 3.0 * se,
-            gap_to_penalised=abs(cp.p_alive - pen_est.p_alive),
-        ))
-    return ComparisonReport(points=tuple(points), p_penalised=pen_est.p_alive,
-                            lam=lam, horizon=horizon, replicas=replicas,
-                            master_seed=seed)

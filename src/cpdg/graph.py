@@ -347,12 +347,6 @@ class GraphView:
             self._children[v] = kids
         return kids
 
-    def frontier(self) -> list[int]:
-        """Materialized vertices whose offspring are not yet generated."""
-        if not self.lazy:
-            return []
-        return [v for v in range(len(self._children)) if self._children[v] is None]
-
     def path_key(self, v: int) -> int:
         """Stable structural identity of v (hash of the root-path)."""
         return self._key[v]
@@ -405,43 +399,6 @@ def grow_bgw(dist: OffspringDistribution, seed: int,
     g = GraphView.bgw(dist, seed, caps)
     g.offspring_count(g.root)
     return g
-
-
-def conditioned_root_degree(g: GraphView, n_root: int) -> GraphView:
-    """Fresh copy of a lazy tree with the root's offspring count forced."""
-    if not g.lazy:
-        raise GraphError("conditioning on the root degree requires a lazy tree")
-    if g.dist.pmf_at(n_root) <= 0.0:
-        raise GraphError(f"root degree {n_root} is outside the offspring support")
-    fresh = GraphView.bgw(g.dist, g.tree_seed, g.caps, forced_root_count=n_root)
-    fresh.offspring_count(fresh.root)
-    return fresh
-
-
-def bounded_degree_children(g: GraphView, x: int, degree_bound: int) -> list[int]:
-    """Children y of x with degree(y) <= degree_bound, in id order.
-
-    On a finite graph "children" means neighbors farther from the root than x
-    (BFS orientation from the root).
-    """
-    if g.lazy:
-        kids = g.children(x)
-    else:
-        dist = _bfs_depths(g)
-        kids = [y for y in g.neighbors(x) if dist[y] == dist[x] + 1]
-    return [y for y in kids if g.degree(y) <= degree_bound]
-
-
-def _bfs_depths(g: GraphView) -> list[int]:
-    depth = [-1] * g.n_vertices
-    depth[g.root] = 0
-    queue = [g.root]
-    for u in queue:
-        for w in g.neighbors(u):
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -115,51 +115,6 @@ def load_kernel_table(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# envelope diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    kappa1: float
-    kappa2: float
-    nu1: float
-    nu2: float
-    violation: bool
-    message: str = ""
-
-
-# a genuine polynomial envelope keeps p(n,m) * n^alpha within a bounded band;
-# a spread beyond this factor over the sampled range flags a broken envelope
-_ENVELOPE_SPREAD_TOL = 1e3
-
-
-def envelope_check(spec: KernelSpec, m: int, n_values) -> EnvelopeReport:
-    """Tightest envelope constants for p(n, m), v(n, m) over sampled n >= m."""
-    ns = sorted(int(n) for n in n_values)
-    if not ns:
-        raise KernelError("empty degree range")
-    if ns[0] < m:
-        raise KernelError("envelope is defined for n >= m")
-    p_ratios = [p_value(spec, n, m) * n ** spec.alpha for n in ns]
-    v_ratios = [v_value(spec, n, m) / n ** spec.eta for n in ns]
-    kappa1, kappa2 = min(p_ratios), max(p_ratios)
-    nu1, nu2 = min(v_ratios), max(v_ratios)
-    violation = False
-    message = ""
-    if kappa1 <= 0.0:
-        violation = True
-        message = "connection probability vanishes on the sampled range"
-    elif kappa2 / kappa1 > _ENVELOPE_SPREAD_TOL:
-        violation = True
-        message = (f"p(n,{m})*n^{spec.alpha} spans a factor {kappa2 / kappa1:.3g}; "
-                   "no polynomial envelope of this order")
-    elif nu1 <= 0.0 or nu2 / nu1 > _ENVELOPE_SPREAD_TOL:
-        violation = True
-        message = f"v(n,{m})/n^{spec.eta} spans a factor {nu2 / max(nu1, 1e-300):.3g}"
-    return EnvelopeReport(kappa1, kappa2, nu1, nu2, violation, message)
-
-
-# ---------------------------------------------------------------------------
 # percolated offspring
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ geometric sum is assembled from its defining pieces. The star attempt is the
 per-child loop sampler that the flat-array one in `cpdg.experiments` replaced;
 the two must return equal records from the same streams. The stable star is
 the per-child sampler that the count chain replaced; the two must agree in
-law.
+law. `tv_distance` compares a sample histogram with an exact law.
 """
 
 import bisect
@@ -47,6 +47,14 @@ def simulate_geometric_sum(alpha, beta, q, n, gen):
     """Geom(q) many Exp(alpha)+Exp(beta) pairs, summed."""
     counts = gen.geometric(q, n)
     return gen.gamma(counts, 1.0 / alpha) + gen.gamma(counts, 1.0 / beta)
+
+
+def tv_distance(empirical_counts: dict, exact: np.ndarray, n_samples: int) -> float:
+    """Total-variation distance between a sample histogram and an exact law."""
+    emp = np.zeros_like(exact)
+    for idx, cnt in empirical_counts.items():
+        emp[idx] = cnt / n_samples
+    return 0.5 * float(np.abs(emp - exact).sum())
 
 
 def random_connected_graph(n_vertices, seed, extra_edge_prob=0.4):

@@ -316,6 +316,12 @@ class TestErrorExits:
         assert rc == 2
         assert out == "error: graph.init: vertex 7 is not in the graph (vertices 0..1)\n"
 
+    def test_root_degree_outside_offspring_support(self):
+        graph = {"kind": "bgw", "dist": {"kind": "deterministic", "d": 2}, "root_degree": 5}
+        rc, out, _ = run_dispatch("simulate", {**SIM, "graph": graph, "replicas": 20})
+        assert rc == 2
+        assert out == "error: graph.root_degree: 5 is outside the offspring support\n"
+
     @pytest.mark.parametrize("content", [None, b"0 1 2\n", b"\xff\xfe0 1\n"])
     def test_bad_edge_file(self, tmp_path, content):
         path = tmp_path / "edges.txt"

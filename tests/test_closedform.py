@@ -42,15 +42,6 @@ class TestBgTransition:
         assert composed == pytest.approx(direct, abs=1e-12)
 
 
-class TestTwoStateHit:
-    def test_limits(self):
-        assert cf.two_state_hit_prob(1.0, 3, 0.0) == 0.0
-        assert cf.two_state_hit_prob(1.0, 3, 1e9) == pytest.approx(0.75)
-
-    def test_hand_value(self):
-        assert cf.two_state_hit_prob(1.0, 1, math.log(2) / 2) == pytest.approx(0.25)
-
-
 class TestEdgeLaw:
     def test_transmission_hand_values(self):
         assert cf.transmission_prob(1, 1, 1) == pytest.approx(0.25)

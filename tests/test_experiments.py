@@ -11,13 +11,12 @@ from _oracles import stable_star_reference, star_attempt_reference
 from cpdg import engine, experiments
 from cpdg.closedform import star_constants
 from cpdg.experiments import (BGWGraphSpec, ExperimentError, FiniteGraphSpec,
-                              bracket_lambda, estimate_survival,
-                              path_graph_with_degree, path_transmission,
-                              penalised_comparison, stable_star_frequency,
+                              estimate_survival, path_graph_with_degree,
+                              path_transmission, stable_star_frequency,
                               star_survival, wilson_interval)
 from cpdg.graph import TreeCaps, deterministic, geometric, power_law
 from cpdg.kernels import KernelSpec
-from cpdg.rng import mix
+from cpdg.rng import TAG_EXPERIMENT, mix
 
 K2_SPEC = FiniteGraphSpec(edges=((0, 1),))
 STAR_SPEC = FiniteGraphSpec(edges=((0, 1), (0, 2), (0, 3)))
@@ -99,43 +98,6 @@ class TestEstimateSurvival:
             assert a.p_alive <= b.p_alive + slack
 
 
-class TestBracket:
-    def test_bisection_arithmetic(self):
-        # exact P(alive at 12) is 0.302 at lambda = 4 and 0.616 at 8, so
-        # lam_hi = 8 brackets the target 0.3 whatever the sample
-        res = bracket_lambda(STAR_SPEC, KernelSpec(alpha=0.2), horizon=12.0,
-                             replicas=600, target=0.3, lam_lo=0.0, lam_hi=8.0,
-                             iterations=5, seed=5)
-        assert res.lam_hi - res.lam_lo == pytest.approx(8.0 * 2 ** -5)
-        assert res.estimate_lo.p_alive <= 0.3 + 0.1
-        assert res.estimate_hi.p_alive >= 0.3 - 0.1
-
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(ExperimentError, match="degenerate"):
-            bracket_lambda(STAR_SPEC, KernelSpec(alpha=0.2), 10.0, 100, 0.5,
-                           0.0, 0.0, 3, seed=6)
-
-    def test_non_bracketing_diagnosed(self):
-        with pytest.raises(ExperimentError, match="does not bracket"):
-            bracket_lambda(K2_SPEC, KernelSpec(alpha=0.5), horizon=40.0,
-                           replicas=200, target=0.99, lam_lo=0.0, lam_hi=0.01,
-                           iterations=2, seed=7)
-
-    def test_regular_tree_smoke(self):
-        # classical contact process (p = 1) on a small 3-regular tree: a
-        # pseudo-critical bracket comes back ordered; no numeric assertion
-        edges = [(0, 1), (0, 2), (0, 3)]
-        nxt = 4
-        for v in (1, 2, 3):
-            edges += [(v, nxt), (v, nxt + 1)]
-            nxt += 2
-        spec = FiniteGraphSpec(edges=tuple(edges))
-        res = bracket_lambda(spec, KernelSpec(alpha=0.0), horizon=15.0,
-                             replicas=400, target=0.5, lam_lo=0.05, lam_hi=8.0,
-                             iterations=4, seed=8)
-        assert 0.05 <= res.lam_lo < res.lam_hi <= 8.0
-
-
 def two_sample_chi2(a, b):
     """p of a two-sample chi-squared test on integer samples; neighbouring
     values are pooled until each cell holds at least 10 of the two samples'
@@ -185,6 +147,20 @@ class TestStars:
                     ("windows <= 1", (new <= 1).sum(axis=1), (ref <= 1).sum(axis=1))]
         for label, a, b in samples:
             assert two_sample_chi2(a, b) > 1e-3, label
+
+    def test_frequency_matches_per_child_sampler(self):
+        # end to end at a point where the stable star often fails (frequency
+        # about 0.7), so a sampler that always reports it stable fails here
+        n, kernel, dist, replicas = 600, KernelSpec(alpha=0.4, sigma=0.5), geometric(0.3, 1), 1000
+        rep = stable_star_frequency(n, 4, kernel, dist, replicas=replicas, seed=21)
+        sc = star_constants(n, 4, 1.0, kernel, dist)
+        ref = sum(int(stable_star_reference(n, kernel, dist, 4, sc.window, sc.stable_windows,
+                                            np.random.default_rng([3, i])).min() > sc.threshold)
+                  for i in range(replicas))
+        assert 0.5 < ref / replicas < 0.9
+        pooled = (rep.stable + ref) / (2 * replicas)
+        z = (rep.stable - ref) / replicas / math.sqrt(pooled * (1 - pooled) * 2 / replicas)
+        assert 2 * stats.norm.sf(abs(z)) > 1e-3, (rep.frequency, ref / replicas)
 
     def test_stable_horizon_cap(self):
         # 1.9e75 stable windows at n = 1e6; the sampler refuses before drawing
@@ -310,13 +286,23 @@ class TestPath:
 
 class TestPenalisedComparison:
     def test_orderings_and_gap(self):
+        # the static lower-bound process never beats the CPDG (within 3
+        # combined SE) as the update speed grows; the CPDG runs on the thinned
+        # background, which has no update events, so large nu is affordable
         spec = FiniteGraphSpec(edges=((0, 1), (1, 2), (2, 3)))
-        rep = penalised_comparison(spec, KernelSpec(alpha=0.4, sigma=1.0), 1.5,
-                                   nu_values=[1.0, 10.0, 100.0], horizon=8.0,
-                                   replicas=3000, seed=14)
-        assert all(pt.ordering_ok for pt in rep.points)
-        # the fast-update gap at the largest nu is small
-        assert rep.points[-1].gap_to_penalised < 0.08
+        kernel, lam, horizon, replicas = KernelSpec(alpha=0.4, sigma=1.0), 1.5, 8.0, 3000
+        pen, _ = estimate_survival(spec, kernel, lam, horizon, replicas,
+                                   mix(14, TAG_EXPERIMENT, 0), variant=engine.PENALISED)
+        for j, nu in enumerate([1.0, 10.0, 100.0]):
+            kern = replace(kernel, nu=nu)
+            cp, _ = estimate_survival(spec, kern, lam, horizon, replicas,
+                                      mix(14, TAG_EXPERIMENT, 2 * j + 1), bg_mode="thinned")
+            lo, _ = estimate_survival(spec, kern, lam, horizon, replicas,
+                                      mix(14, TAG_EXPERIMENT, 2 * j + 2),
+                                      variant=engine.LOWER_BOUND)
+            assert lo.p_alive <= cp.p_alive + 3.0 * math.sqrt(cp.se_alive ** 2 + lo.se_alive ** 2)
+        # the fast-update gap to the penalised limit at the largest nu is small
+        assert abs(cp.p_alive - pen.p_alive) < 0.08
 
     def test_p_one_matches_classical(self):
         spec = KernelSpec(alpha=0.0)

@@ -7,8 +7,7 @@ from scipy import stats
 
 from cpdg import graph
 from cpdg.graph import (DistributionError, GraphError, TreeCaps, TreeCapExceeded,
-                        bounded_degree_children, build_finite,
-                        conditioned_root_degree, deterministic, geometric,
+                        build_finite, deterministic, geometric,
                         grow_bgw, load_edge_list, power_law, save_edge_list,
                         stretched_exponential, tabulated)
 
@@ -193,35 +192,16 @@ class TestBGW:
 
 class TestConditionedRoot:
     def test_forced_value(self):
-        base = grow_bgw(deterministic(2), seed=1, caps=TreeCaps(100, 10))
-        g = conditioned_root_degree(base, 2)
+        g = graph.GraphView.bgw(deterministic(2), 1, TreeCaps(100, 10), forced_root_count=2)
         assert g.degree(0) == 2
 
     def test_forced_large_degree_every_replica(self):
         for seed in range(20):
-            base = graph.GraphView.bgw(power_law(2.5), seed, TreeCaps(1000, 10))
-            g = conditioned_root_degree(base, 100)
+            g = graph.GraphView.bgw(power_law(2.5), seed, TreeCaps(1000, 10),
+                                    forced_root_count=100)
             assert g.offspring_count(0) == 100
             for child in g.children(0)[:3]:
                 assert g.degree(child) >= 1
-
-    def test_outside_support_rejected(self):
-        base = grow_bgw(deterministic(2), seed=1, caps=TreeCaps(100, 10))
-        with pytest.raises(GraphError, match="outside"):
-            conditioned_root_degree(base, 5)
-
-
-class TestBoundedDegreeChildren:
-    def test_all_and_none(self):
-        g = grow_bgw(deterministic(2), seed=3, caps=TreeCaps(1000, 20))
-        kids = g.children(0)
-        assert bounded_degree_children(g, 0, 100) == kids
-        assert bounded_degree_children(g, 0, 0) == []
-
-    def test_filter_semantics(self):
-        # star root whose children have degrees {1, 1, 4}
-        g = build_finite([(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6)])
-        assert bounded_degree_children(g, 0, 2) == [1, 2]
 
 
 class TestDumpLoad:

@@ -9,7 +9,7 @@ from scipy import stats
 
 from cpdg.graph import deterministic, power_law
 from cpdg.kernels import (KernelError, KernelSpec, PercolatedOffspring,
-                          envelope_check, load_kernel_table, p_value,
+                          load_kernel_table, p_value,
                           p_value_array, sample_mixed_binomial_array,
                           sample_zeta_p, sample_zeta_p_array,
                           tail_exponent_estimate, v_value)
@@ -74,31 +74,6 @@ class TestVValue:
         down = KernelSpec(alpha=0.0, eta=-0.7)
         assert v_value(up, 1, 10) <= v_value(up, 1, 20)
         assert v_value(down, 1, 10) >= v_value(down, 1, 20)
-
-
-class TestEnvelope:
-    def test_product_kernel_exact(self):
-        spec = KernelSpec(alpha=1.0, sigma=1.0, kappa=1.0)
-        rep = envelope_check(spec, 2, range(2, 200))
-        assert rep.kappa1 == pytest.approx(0.5)
-        assert rep.kappa2 == pytest.approx(0.5)
-        assert not rep.violation
-
-    def test_speed_constants_exact(self):
-        spec = KernelSpec(alpha=0.5, eta=0.8, nu=1.7)
-        rep = envelope_check(spec, 3, range(3, 500, 7))
-        assert rep.nu1 == pytest.approx(1.7)
-        assert rep.nu2 == pytest.approx(1.7)
-
-    def test_exponential_custom_violates(self):
-        spec = KernelSpec(alpha=1.0, custom_p=lambda n, m: math.exp(-max(n, m)))
-        rep = envelope_check(spec, 1, range(1, 60))
-        assert rep.violation
-        assert "envelope" in rep.message or "factor" in rep.message
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(KernelError):
-            envelope_check(KernelSpec(alpha=1.0), 2, [])
 
 
 class TestKernelTable(object):

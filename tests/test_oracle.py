@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from cpdg import engine, oracle
 from cpdg.engine import CPDG, Caps, Simulation
@@ -64,6 +66,27 @@ class TestTransient:
                 p = oracle.transient_prob(model, init, t,
                                           lambda c, b, j=j: (b >> j & 1) == 1)
                 assert p == pytest.approx(model.p_open[j], abs=1e-9)
+
+    def test_long_horizon_meets_tolerance(self):
+        # mu = 2e4 uniformization steps: Poisson weights from a running log
+        # recursion drift by about 5e-11 here, so only accurate weights give
+        # a law within the default tol of 1e-12
+        model = oracle.build_exact(K2, KernelSpec(alpha=0.5, sigma=1.0, nu=50), 1.0)
+        init = oracle.initial_distribution(model, [0])
+        t = 2e4 / model.uniformization_rate
+        dist = oracle.transient_distribution(model, init, t)
+        ref = expm_multiply((model.generator.T * t).tocsr(), init)
+        assert abs(dist.sum() - 1.0) < 1e-12
+        assert np.abs(dist - ref).sum() < 1e-12
+
+    def test_lost_mass_raises(self):
+        # a generator whose rows do not sum to zero (a killed chain) loses
+        # mass at every step; the law must not come back short without a word
+        leak = oracle.ExactModel(n_vertices=1, edges=(), p_open=np.zeros(0), lam=0.0,
+                                 generator=-sparse.identity(2, format="csr"),
+                                 uniformization_rate=1.0)
+        with pytest.raises(oracle.UniformizationError, match="lost"):
+            oracle.transient_distribution(leak, np.array([0.0, 1.0]), 1.0)
 
     def test_monotone_in_lambda(self):
         init_template = None
