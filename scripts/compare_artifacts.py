@@ -13,12 +13,14 @@ The configs: both determinism configs of the acceptance suite, one config
 per subcommand, one `simulate` config (with records) for each engine path
 the others leave out (the `wait_and_see`, `penalised` and `lower_bound`
 variants and the thinned CPDG background), a `simulate` config on lazy trees
-whose root degree is forced (`graph.root_degree`), a second star-survival config
-whose children differ (random degrees with some dropped, eta > 0, nu != 1;
-the other star configs give every child degree 3), a stable-star config
-with the same offspring law (three degree classes of different p), and
-batch 0 (seed 601)
-of the `bgw_survival` and `star_samplers` benchmark workloads.
+whose root degree is forced (`graph.root_degree`), a `simulate` config on a
+finite graph whose kernel is a `kernel.table` file (written into the
+script's temporary directory, so both sides read the same file), a second
+star-survival config whose children differ (random degrees with some
+dropped, eta > 0, nu != 1; the other star configs give every child degree
+3), a stable-star config with the same offspring law (three degree classes
+of different p), and batch 0 (seed 601) of the `bgw_survival` and
+`star_samplers` benchmark workloads.
 """
 
 import json
@@ -44,7 +46,7 @@ K2 = {"kind": "finite", "edges": [[0, 1]]}
 STAR3 = {"kind": "finite", "edges": [[0, 1], [0, 2], [0, 3]]}
 
 
-def configs():
+def configs(tmp):
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import workloads  # noqa: E402  (the benchmark's own config builders)
 
@@ -92,6 +94,13 @@ def configs():
                            "root_degree": 6, "max_vertices": 5000},
                  "kernel": {"alpha": 0.5}, "lambda": 1.5, "horizon": 5.0, "replicas": 200,
                  "records": True, "seed": 8}))
+    table = os.path.join(tmp, "kernel_table.txt")
+    with open(table, "w") as fh:
+        fh.write("1 3 0.8\n2 3 0.5\n2 2 0.3\n1 2 0.9\n")
+    out.append(("simulate kernel table", "simulate",
+                {"graph": {"kind": "finite", "edges": [[0, 1], [0, 2], [0, 3], [3, 4], [4, 5]]},
+                 "kernel": {"alpha": 0.5, "table": table, "eta": 0.5, "nu": 2.0},
+                 "lambda": 2.0, "horizon": 10.0, "replicas": 200, "records": True, "seed": 9}))
     with tempfile.TemporaryDirectory() as scratch:
         out.append(("bgw_survival batch 0", "simulate",
                      workloads.BGWSurvival(601, "full", scratch).config(0)))
@@ -118,7 +127,7 @@ def main(argv):
     other = os.path.abspath(argv[0])
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, subcommand, cfg) in enumerate(configs()):
+        for i, (label, subcommand, cfg) in enumerate(configs(tmp)):
             sides = [run(tree, subcommand, cfg, os.path.join(tmp, f"{i}-{side}"))
                      for side, tree in (("this", ROOT), ("other", other))]
             same = sides[0] == sides[1]

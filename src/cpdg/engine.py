@@ -25,11 +25,14 @@ Two families of runners live here:
   snapshots work alike for every variant.
 * coupled runners (``run_coupled``, ``run_coupled_lambda``,
   ``run_waitandsee_dominating``) - a lower and an upper process driven by one
-  realization of the streams ``_eager_setup`` builds. All three share one
-  event loop, ``_run_shared``, which renews the recovery, update and
-  infection clocks, applies the caps, asserts containment after every event
-  and builds both records; each runner supplies only its transmission rule
-  for an infection tick.
+  realization of every clock of a small finite graph, Harris's graphical
+  representation. A coupled run draws from one RNG stream, seeded once, in
+  event order: ``_eager_setup`` realizes every edge's and vertex's first
+  clock from time zero, and each event draws its successor and any coin it
+  needs. All three share one event loop, ``_run_shared``, which renews the
+  recovery, update and infection clocks, applies the caps, asserts
+  containment after every event and builds both records; each runner
+  supplies only its transmission rule for an infection tick.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from heapq import heappop, heappush
 
 from .closedform import bg_transition, lower_bound_rate
 from .graph import GraphView, TreeCapExceeded
-from .kernels import KernelSpec, p_value, v_value
-from .rng import TAG_EDGE_BG, TAG_EDGE_INF, TAG_EDGE_THIN, TAG_SIM, TAG_VERTEX, mix
+from .kernels import KernelSpec, edge_law
+from .rng import TAG_SIM, mix
 
 # event kinds
 UPDATE = 0
@@ -215,9 +218,7 @@ class Simulation:
         """
         e = self.edges.get(key)
         if e is None:
-            dx, dy = self.graph.degree(x), self.graph.degree(y)
-            p = p_value(self.kernel, dx, dy)
-            v = v_value(self.kernel, dx, dy)
+            p, v = edge_law(self.kernel, self.graph.degree(x), self.graph.degree(y))
             is_open = (self._rng.random() < p) if self._has_bg else not self._ws
             e = [is_open, t, False, False, p, v, self._edge_rate(p, v), False]
             self.edges[key] = e
@@ -439,59 +440,44 @@ def run_replica(graph: GraphView, kernel: KernelSpec, lam: float, variant: str,
 
 
 # ---------------------------------------------------------------------------
-# keyed streams: one per edge and per vertex, realized from time zero
+# eager set-up of a coupled run: every clock realized from time zero
 # ---------------------------------------------------------------------------
 
-class _EdgeStreams:
-    __slots__ = ("open", "p", "v", "bg", "inf", "thin", "next_up", "revealed", "b_used")
+class _CoupledEdge:
+    __slots__ = ("open", "p", "v", "revealed", "b_used")
 
-    def __init__(self, p, v, bg, inf, thin=None):
+    def __init__(self, p, v, is_open):
         self.p = p
         self.v = v
-        self.bg = bg
-        self.inf = inf
-        self.thin = thin
-        self.open = bg.random() < p  # stationary draw at time 0
-        self.next_up = -math.log(bg.random()) / v
+        self.open = is_open
         self.revealed = False
         self.b_used = False
 
 
-def _edge_streams(graph, kernel, seed, u, v, with_thin=False):
-    p = p_value(kernel, graph.degree(u), graph.degree(v))
-    vv = v_value(kernel, graph.degree(u), graph.degree(v))
-    bg = random.Random(mix(seed, TAG_EDGE_BG, u, v))
-    inf = random.Random(mix(seed, TAG_EDGE_INF, u, v))
-    thin = random.Random(mix(seed, TAG_EDGE_THIN, u, v)) if with_thin else None
-    return _EdgeStreams(p, vv, bg, inf, thin)
+def _eager_setup(graph, kernel, random_, lam_clock):
+    """Realize the clocks of a small finite graph from time zero.
 
-
-def _eager_setup(graph, kernel, seed, lam_clock, with_thin):
-    """Realize all streams of a small finite graph from time zero.
-
-    Returns (queue, seq, edges, recs): the heap holding each edge's first
-    update and infection tick and each vertex's first recovery, the last
-    sequence number used, the per-edge streams keyed by (u, v), and the
-    per-vertex recovery streams.
+    Draws from `random_` in a fixed order: per edge in sorted order its
+    stationary state, first update and first infection tick, then each
+    vertex's first recovery. Returns (queue, seq, edges): the heap of those
+    clocks, the last sequence number used and the edge records keyed by (u, v).
     """
     queue = []
     seq = 0
     edges = {}
+    degree = graph.degree
     for u, v in graph.edges():
-        e = _edge_streams(graph, kernel, seed, u, v, with_thin=with_thin)
-        edges[(u, v)] = e
+        p, vv = edge_law(kernel, degree(u), degree(v))
+        edges[(u, v)] = _CoupledEdge(p, vv, random_() < p)
         seq += 1
-        heappush(queue, (e.next_up, seq, UPDATE, u, v))
+        heappush(queue, (-math.log(random_()) / vv, seq, UPDATE, u, v))
         if lam_clock > 0.0:
             seq += 1
-            heappush(queue, (-math.log(e.inf.random()) / lam_clock, seq, INFECT, u, v))
-    recs = {}
+            heappush(queue, (-math.log(random_()) / lam_clock, seq, INFECT, u, v))
     for x in range(graph.n_vertices):
-        stream = random.Random(mix(seed, TAG_VERTEX, x))
-        recs[x] = stream
         seq += 1
-        heappush(queue, (-math.log(stream.random()), seq, RECOVER, x, -1))
-    return queue, seq, edges, recs
+        heappush(queue, (-math.log(random_()), seq, RECOVER, x, -1))
+    return queue, seq, edges
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +518,24 @@ class _Tracker:
                                 tuple(self.reinfections), seed)
 
 
-def _run_shared(graph, kernel, lam_clock, with_thin, low_init, high_init,
-                caps, seed, transmit):
-    """Drive a lower and an upper process by one realization of the streams.
+def _run_shared(graph, kernel, lam_clock, low_init, high_init, caps, seed, transmit):
+    """Drive a lower and an upper process by one realization of the clocks.
 
+    Every draw of the run comes from one stream, ``random.Random(mix(seed,
+    TAG_SIM))``, in event order, and both processes read the same draws, so
+    containment holds pathwise while each process keeps its own law.
     Recoveries and background updates act on both processes alike. On an
     infection tick of edge (u, v) at rate `lam_clock`, ``transmit(e, u, v,
-    high)`` reads the edge streams `e` and the upper infected set and returns
-    (low_uses, high_uses): whether the tick is a transmission attempt in each
-    process, which then infects the healthy end of the edge if exactly one
-    end is infected. Stops at extinction of the upper process, at the caps,
-    or at the first event after which the lower infected set is not
-    contained in the upper one. Returns (record_low, record_high, violation).
+    high, random_)`` reads the edge record `e`, the upper infected set and,
+    for any coin it needs, the run's stream, and returns (low_uses,
+    high_uses): whether the tick is a transmission attempt in each process,
+    which then infects the healthy end of the edge if exactly one end is
+    infected. Stops at extinction of the upper process, at the caps, or at
+    the first event after which the lower infected set is not contained in
+    the upper one. Returns (record_low, record_high, violation).
     """
-    queue, seq, edges, recs = _eager_setup(graph, kernel, seed, lam_clock, with_thin)
+    random_ = random.Random(mix(seed, TAG_SIM)).random
+    queue, seq, edges = _eager_setup(graph, kernel, random_, lam_clock)
     low = _Tracker(infected=set(), root=graph.root)
     high = _Tracker(infected=set(), root=graph.root)
     for x in sorted(high_init):
@@ -567,18 +557,18 @@ def _run_shared(graph, kernel, lam_clock, with_thin, low_init, high_init,
             break
         seq += 1
         if kind == RECOVER:
-            heappush(queue, (t - math.log(recs[u].random()), seq, RECOVER, u, -1))
+            heappush(queue, (t - math.log(random_()), seq, RECOVER, u, -1))
             low.remove(u, t)
             high.remove(u, t)
         elif kind == UPDATE:
             e = edges[(u, v)]
-            e.open = e.bg.random() < e.p
+            e.open = random_() < e.p
             e.revealed = e.b_used = False  # a new background era
-            heappush(queue, (t - math.log(e.bg.random()) / e.v, seq, UPDATE, u, v))
+            heappush(queue, (t - math.log(random_()) / e.v, seq, UPDATE, u, v))
         else:
             e = edges[(u, v)]
-            heappush(queue, (t - math.log(e.inf.random()) / lam_clock, seq, INFECT, u, v))
-            low_uses, high_uses = transmit(e, u, v, ch)
+            heappush(queue, (t - math.log(random_()) / lam_clock, seq, INFECT, u, v))
+            low_uses, high_uses = transmit(e, u, v, ch, random_)
             if high_uses:
                 ui = u in ch
                 if ui != (v in ch):
@@ -594,7 +584,7 @@ def _run_shared(graph, kernel, lam_clock, with_thin, low_init, high_init,
             violation)
 
 
-def _open_rule(e, u, v, high):
+def _open_rule(e, u, v, high, random_):
     """Both processes transmit across an open edge."""
     return e.open, e.open
 
@@ -609,8 +599,7 @@ def run_coupled(graph: GraphView, kernel: KernelSpec, lam: float,
     small_set, big_set = set(init_small), set(init_big)
     if not small_set <= big_set:
         raise ValueError("init_small must be a subset of init_big")
-    return _run_shared(graph, kernel, lam, False, small_set, big_set, caps, seed,
-                       _open_rule)
+    return _run_shared(graph, kernel, lam, small_set, big_set, caps, seed, _open_rule)
 
 
 def run_coupled_lambda(graph: GraphView, kernel: KernelSpec, lam_small: float,
@@ -620,29 +609,29 @@ def run_coupled_lambda(graph: GraphView, kernel: KernelSpec, lam_small: float,
         raise ValueError("need 0 <= lam_small <= lam_big")
     ratio = lam_small / lam_big if lam_big > 0.0 else 0.0
 
-    def thinned_rule(e, u, v, high):
+    def thinned_rule(e, u, v, high, random_):
         # the small process keeps an open-edge tick with probability ratio
         if not e.open:
             return False, False
-        return e.thin.random() < ratio, True
+        return random_() < ratio, True
 
     init = set(init)
-    return _run_shared(graph, kernel, lam_big, True, init, init, caps, seed, thinned_rule)
+    return _run_shared(graph, kernel, lam_big, init, init, caps, seed, thinned_rule)
 
 
-def _reveal_rule(e, u, v, cx):
+def _reveal_rule(e, u, v, cx, random_):
     """CPDG transmits across open edges, wait-and-see across revealed ones.
 
     An unrevealed edge touching the wait-and-see infection reveals on a tick
     of the full-rate clock, which thins it to rate lam * p: the decision
     reads the open state once per background era and independent coins
-    afterwards.
+    afterwards, drawn from the run's stream.
     """
     if not e.revealed:
         if u not in cx and v not in cx:
             return e.open, False
         if e.b_used:
-            decide = e.thin.random() < e.p
+            decide = random_() < e.p
         else:
             decide = e.open
             e.b_used = True
@@ -654,13 +643,13 @@ def _reveal_rule(e, u, v, cx):
 
 def run_waitandsee_dominating(graph: GraphView, kernel: KernelSpec, lam: float,
                               init, caps: Caps, seed: int):
-    """Couple a CPDG with the wait-and-see process on shared streams.
+    """Couple a CPDG with the wait-and-see process on one shared stream.
 
     The wait-and-see side starts with every edge unrevealed and the same
     infected set; reveal decisions reuse the open/closed state the first time
-    after each update and an independent thinning stream afterwards. Returns
+    after each update and independent coins afterwards. Returns
     (record_cpdg, record_ws, violation) with violation reporting any failure
     of C(t) <= C_ws(t).
     """
     init = set(init)
-    return _run_shared(graph, kernel, lam, True, init, init, caps, seed, _reveal_rule)
+    return _run_shared(graph, kernel, lam, init, init, caps, seed, _reveal_rule)

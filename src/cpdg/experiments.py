@@ -16,6 +16,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -49,11 +50,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 @dataclass(frozen=True)
 class FiniteGraphSpec:
+    """One fixed finite graph for every replica, built on first use."""
+
     edges: tuple
     init: tuple = (0,)
 
+    @cached_property
+    def _graph(self) -> GraphView:
+        return build_finite(self.edges)
+
     def build(self, rs: int):
-        return build_finite(self.edges), set(self.init)
+        return self._graph, set(self.init)
 
 
 @dataclass(frozen=True)

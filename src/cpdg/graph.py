@@ -245,7 +245,7 @@ class GraphView:
 
     __slots__ = (
         "lazy", "root", "truncated",
-        "_adj", "_n",
+        "_adj", "_n", "_edge_list",
         "dist", "tree_seed", "caps", "forced_root_count",
         "_zeta", "_children", "_parent", "_depth", "_key",
     )
@@ -258,6 +258,7 @@ class GraphView:
         self.truncated = False
         self._adj = None
         self._n = 0
+        self._edge_list = None
 
     @classmethod
     def finite(cls, adjacency: list[list[int]]) -> "GraphView":
@@ -302,16 +303,14 @@ class GraphView:
         out.extend(self.children(v))
         return out
 
-    def edges(self):
-        """Sorted (u, v) pairs with u < v. Materialized edges only for lazy graphs."""
+    def edges(self) -> tuple:
+        """Sorted (u, v) pairs with u < v, built once for a finite graph.
+        Materialized edges only for lazy graphs."""
         if self.lazy:
-            return [(self._parent[v], v) for v in range(1, len(self._parent))]
-        out = []
-        for u in range(self._n):
-            for w in self._adj[u]:
-                if u < w:
-                    out.append((u, w))
-        return out
+            return tuple((self._parent[v], v) for v in range(1, len(self._parent)))
+        if self._edge_list is None:
+            self._edge_list = tuple((u, w) for u in range(self._n) for w in self._adj[u] if u < w)
+        return self._edge_list
 
     # -- lazy growth ---------------------------------------------------------
 

@@ -81,6 +81,23 @@ def v_value(spec: KernelSpec, dx: int, dy: int) -> float:
     return spec.nu * float(max(dx, dy)) ** spec.eta
 
 
+def edge_law(spec: KernelSpec, dx: int, dy: int) -> tuple:
+    """(p_value, v_value) for degrees dx, dy, computed once per kernel and pair.
+
+    The memo lives in the instance's ``__dict__`` beside the dataclass fields,
+    so repr, equality, hashing and ``asdict`` do not see it; it is keyed by
+    the ordered pair, which serves custom tables and callables alike.
+    """
+    memo = spec.__dict__.get("_edge_laws")
+    if memo is None:
+        memo = {}
+        object.__setattr__(spec, "_edge_laws", memo)
+    law = memo.get((dx, dy))
+    if law is None:
+        law = memo[(dx, dy)] = (p_value(spec, dx, dy), v_value(spec, dx, dy))
+    return law
+
+
 def _custom_lookup(custom, dx, dy):
     if callable(custom):
         return float(custom(dx, dy))

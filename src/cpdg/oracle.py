@@ -20,6 +20,9 @@ from .graph import GraphView
 from .kernels import KernelSpec, p_value, v_value
 
 STATE_CAP = 1 << 20
+# uniformization takes about mu = rate * t sparse products; past this many a
+# transient law is refused before the first one
+MAX_PRODUCTS = 10**6
 
 
 class StateCapExceeded(ValueError):
@@ -135,8 +138,11 @@ def transient_distribution(model: ExactModel, init: np.ndarray, t: float,
     tol / 2, so it takes about mu + O(sqrt(mu)) sparse matrix-vector products:
     the cost is O(mu) products over the whole state space.
 
-    Raises UniformizationError if the law's total mass ends more than tol
-    away from init's, which rounding over many products can cause.
+    Raises UniformizationError before the first product when the window's
+    upper end, mode + spread, exceeds MAX_PRODUCTS (so no call runs more
+    products than that), and after the last one if the law's total mass ends
+    more than tol away from init's, which rounding over many products can
+    cause.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -147,6 +153,10 @@ def transient_distribution(model: ExactModel, init: np.ndarray, t: float,
     mu = rate * t
     mode = int(mu)
     spread = int(40.0 * math.sqrt(mu)) + 40
+    if mode + spread > MAX_PRODUCTS:
+        raise UniformizationError(
+            f"uniformization at t = {t:.6g} (mu = {mu:.6g}) needs up to {mode + spread} "
+            f"matrix-vector products, over the limit of {MAX_PRODUCTS}")
     lo = max(mode - spread, 0)
     down = np.cumprod(np.arange(mode, lo, -1) / mu)[::-1]
     up = np.cumprod(mu / np.arange(mode + 1, mode + spread + 1))

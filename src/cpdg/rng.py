@@ -1,8 +1,8 @@
 """Deterministic seed derivation for replica-parallel runs.
 
 Every stream used anywhere in the package is keyed by hashing a master seed
-with integer tags, so replicas (and per-edge / per-vertex streams inside a
-replica) are independent of scheduling and iteration order.
+with integer tags, so replicas (and the per-vertex draws of a lazily grown
+tree) are independent of scheduling and iteration order.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ _MASK64 = (1 << 64) - 1
 # stream namespaces
 TAG_REPLICA = 0x01
 TAG_TREE = 0x02
-TAG_VERTEX = 0x03
-TAG_EDGE_BG = 0x04
-TAG_EDGE_INF = 0x05
-TAG_EDGE_THIN = 0x06
 TAG_SIM = 0x07
 TAG_EXPERIMENT = 0x08
 

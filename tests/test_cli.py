@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import os
+import signal
 
 import pytest
 
-from cpdg import cli
+from cpdg import cli, oracle
 from cpdg.cli import ConfigError, dispatch, main, parse_config
 
 
@@ -297,6 +298,25 @@ class TestErrorExits:
         rc, out, _ = run_dispatch("oracle", cfg)
         assert rc == 2
         assert out.startswith("error: 2^(13+12) = 33554432 states exceeds the cap")
+
+    def test_oracle_over_the_product_limit(self):
+        # K2 at nu = 50 uniformizes at rate 52, so t = 1e6 asks for about
+        # 5.2e7 products: refused before the first one, not run for an hour
+        cfg = {"graph": K2, "kernel": {"alpha": 0.5, "nu": 50.0}, "lambda": 1.0, "t": 1e6}
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the oracle ran instead of refusing the horizon")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(30)
+        try:
+            rc, out, _ = run_dispatch("oracle", cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 2
+        assert out == ("error: uniformization at t = 1e+06 (mu = 5.2e+07) needs up to "
+                       f"52288484 matrix-vector products, over the limit of {oracle.MAX_PRODUCTS}\n")
 
     def test_stable_star_over_the_window_cap(self):
         cfg = {"kernel": {"alpha": 0.2, "sigma": 0.0},

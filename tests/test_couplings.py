@@ -1,6 +1,12 @@
-import pytest
+import math
 
-from cpdg.engine import Caps, run_coupled, run_coupled_lambda, run_waitandsee_dominating
+import numpy as np
+import pytest
+from scipy import stats
+
+from cpdg import oracle
+from cpdg.engine import (WAIT_AND_SEE, Caps, Simulation, run_coupled, run_coupled_lambda,
+                         run_waitandsee_dominating)
 from cpdg.graph import build_finite
 from cpdg.kernels import KernelSpec
 from cpdg.rng import replica_seed
@@ -88,3 +94,50 @@ class TestWaitAndSeeDomination:
                 _, _, violation = run_waitandsee_dominating(
                     g, SPEC, 1.1, {0}, CAPS, replica_seed(gseed + 30, seed))
                 assert not violation
+
+
+class TestMarginalLaws:
+    """Each side of a coupled run keeps the law of its own process.
+
+    Mean extinction times on the 3-star against the exact chain (within 4
+    SE), and the wait-and-see side against `Simulation`'s wait-and-see
+    process by a two-sample KS test.
+    """
+
+    STAR3 = build_finite([(0, 1), (0, 2), (0, 3)])
+    KERNEL = KernelSpec(alpha=0.5, sigma=1.0, nu=1.5)
+    LONG = Caps(horizon=1e4)
+    N = 6000
+
+    def exact_mean(self, lam, init):
+        model = oracle.build_exact(self.STAR3, self.KERNEL, lam)
+        return oracle.extinction_stats(model, oracle.initial_distribution(model, init)).mean_time
+
+    def assert_mean(self, records, lam, init):
+        times = np.array([r.time for r in records])
+        assert all(r.extinct for r in records)
+        exact = self.exact_mean(lam, init)
+        se = times.std(ddof=1) / math.sqrt(times.size)
+        assert abs(times.mean() - exact) <= 4.0 * se, (times.mean(), exact, se)
+
+    def test_nested_initial_sets(self):
+        runs = [run_coupled(self.STAR3, self.KERNEL, 1.0, {0}, {0, 1, 2, 3}, self.LONG,
+                            replica_seed(101, i)) for i in range(self.N)]
+        self.assert_mean([r[0] for r in runs], 1.0, [0])
+        self.assert_mean([r[1] for r in runs], 1.0, [0, 1, 2, 3])
+
+    def test_thinned_rates(self):
+        runs = [run_coupled_lambda(self.STAR3, self.KERNEL, 0.6, 1.5, {0}, self.LONG,
+                                   replica_seed(102, i)) for i in range(self.N)]
+        self.assert_mean([r[0] for r in runs], 0.6, [0])
+        self.assert_mean([r[1] for r in runs], 1.5, [0])
+
+    def test_wait_and_see_sides(self):
+        runs = [run_waitandsee_dominating(self.STAR3, self.KERNEL, 1.0, {0}, self.LONG,
+                                          replica_seed(103, i)) for i in range(self.N)]
+        self.assert_mean([r[0] for r in runs], 1.0, [0])
+        coupled = [r[1].time for r in runs]
+        assert all(r[1].extinct for r in runs)
+        alone = [Simulation(self.STAR3, self.KERNEL, 1.0, WAIT_AND_SEE, {0}, self.LONG,
+                            replica_seed(104, i)).run().time for i in range(self.N)]
+        assert stats.ks_2samp(coupled, alone).pvalue > 1e-3

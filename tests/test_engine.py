@@ -421,8 +421,23 @@ def _golden_explicit_blob() -> str:
     return "\n".join(repr(x) for x in lines)
 
 
+def _golden_coupled_blob() -> str:
+    """repr of the coupled runners' record pairs at fixed seeds, one line per run."""
+    lines = []
+    caps = Caps(horizon=40.0, max_events=200_000)
+    for gseed in range(3):
+        g = random_connected_graph(6, seed=gseed)
+        for seed in range(20):
+            s = replica_seed(16 + gseed, seed)
+            lines.append(run_coupled(g, GOLDEN_KERNEL, 1.2, {0}, {0, g.n_vertices - 1}, caps, s))
+            lines.append(run_coupled_lambda(g, GOLDEN_KERNEL, 0.7, 1.4, {0}, caps, s))
+            lines.append(run_waitandsee_dominating(g, GOLDEN_KERNEL, 1.1, {0}, caps, s))
+    return "\n".join(repr(x) for x in lines)
+
+
 def _golden_blob() -> str:
-    """repr of records from every other runner at fixed seeds, one line per run."""
+    """repr of records from every `Simulation` variant but the explicit CPDG
+    at fixed seeds, one line per run."""
     lines = []
     kernel = GOLDEN_KERNEL
     for variant, bg_mode in [(CPDG, "thinned"), (PENALISED, "explicit"),
@@ -435,14 +450,6 @@ def _golden_blob() -> str:
         rec = sim.run(snapshot_times=(0.5, 1.0, 2.0, 4.0))
         lines.append(((rec.outcome, rec.time, rec.peak_infected),
                       [(t, sorted(c), sorted(r)) for t, c, r in sim.snapshots]))
-    caps = Caps(horizon=40.0, max_events=200_000)
-    for gseed in range(3):
-        g = random_connected_graph(6, seed=gseed)
-        for seed in range(20):
-            s = replica_seed(16 + gseed, seed)
-            lines.append(run_coupled(g, kernel, 1.2, {0}, {0, g.n_vertices - 1}, caps, s))
-            lines.append(run_coupled_lambda(g, kernel, 0.7, 1.4, {0}, caps, s))
-            lines.append(run_waitandsee_dominating(g, kernel, 1.1, {0}, caps, s))
     six_star = build_finite([(0, i) for i in range(1, 6)])
     trace = supermartingale_trace(six_star, KernelSpec(alpha=1.2, sigma=1.0), 0.2,
                                   LINEAR_WEIGHT, (0.5, 1.0, 2.0, 4.0), 300, seed=17)
@@ -453,16 +460,25 @@ def _golden_blob() -> str:
 class TestGoldenRecords:
     # sha256 of the blobs; a change that keeps every RNG draw in order keeps
     # them, so a mismatch means some output changed for a fixed seed.
-    # DIGEST covers every runner but the explicit-background CPDG. It was
-    # re-pinned when the keyed activation-order oracle and its records left
-    # the blob; the new value was computed on the code before that deletion.
-    # EXPLICIT_DIGEST was re-pinned when that background began to run as
-    # flips, with infection clocks only on open edges (same law, fewer draws)
-    DIGEST = "2dabc87d5f5b8a0c0adca0309a8636f42875d05afef9013f5ba086257662ddc7"
+    # DIGEST covers every `Simulation` variant but the explicit-background
+    # CPDG. It was re-pinned when the keyed activation-order oracle and its
+    # records left the blob, and again when the coupled runners' records
+    # moved to their own blob; both values were computed on the code before
+    # the change. EXPLICIT_DIGEST was re-pinned when that background began
+    # to run as flips, with infection clocks only on open edges (same law,
+    # fewer draws). COUPLED_DIGEST was pinned when a coupled run began to
+    # draw from one stream in event order instead of per-edge and per-vertex
+    # streams (same laws, other draws).
+    DIGEST = "4271eba80f0da6b38baa3f9aa45d13567b25c98948427f00f4cdc831b6568282"
     EXPLICIT_DIGEST = "1f88dd9c0660c81bc33502ef297a7094f1fe41263a0e3fe0c8cc2d22d8f47cc4"
+    COUPLED_DIGEST = "4a788e9f72b02dedf426422bc5f7828c051e4fc03e969a63cc390dfe579d52cb"
 
     def test_records_are_bit_identical(self):
         assert hashlib.sha256(_golden_blob().encode()).hexdigest() == self.DIGEST
+
+    def test_coupled_records_are_bit_identical(self):
+        blob = _golden_coupled_blob()
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.COUPLED_DIGEST
 
     def test_explicit_cpdg_records_are_bit_identical(self):
         blob = _golden_explicit_blob()

@@ -71,6 +71,13 @@ class TestEstimateSurvival:
         assert len(recs) == 300
         assert est.extinct + est.alive_at_horizon + est.censored == 300
 
+    def test_finite_spec_builds_its_graph_once(self):
+        spec = FiniteGraphSpec(edges=((0, 1), (1, 2)))
+        (g1, init1), (g2, init2) = spec.build(0), spec.build(1)
+        assert g1 is g2
+        assert init1 == init2 == {0} and init1 is not init2
+        assert spec == FiniteGraphSpec(edges=((0, 1), (1, 2)))
+
     def test_threads_do_not_change_results(self):
         est1, recs1 = estimate_survival(STAR_SPEC, KernelSpec(alpha=0.3), 1.0,
                                         horizon=5.0, replicas=400, seed=21,

@@ -192,8 +192,13 @@ class TestBGW:
 
 class TestConditionedRoot:
     def test_forced_value(self):
-        g = graph.GraphView.bgw(deterministic(2), 1, TreeCaps(100, 10), forced_root_count=2)
-        assert g.degree(0) == 2
+        # the law never draws 5, so only the forcing can give the root 5 children;
+        # every other vertex keeps its drawn offspring count
+        g = graph.GraphView.bgw(deterministic(2), 1, TreeCaps(100, 10), forced_root_count=5)
+        assert g.degree(0) == 5
+        child = g.children(0)[0]
+        assert g.offspring_count(child) == 2
+        assert g.degree(child) == 3
 
     def test_forced_large_degree_every_replica(self):
         for seed in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cpdg.graph import deterministic, power_law
-from cpdg.kernels import (KernelError, KernelSpec, PercolatedOffspring,
+from cpdg.kernels import (KernelError, KernelSpec, PercolatedOffspring, edge_law,
                           load_kernel_table, p_value,
                           p_value_array, sample_mixed_binomial_array,
                           sample_zeta_p, sample_zeta_p_array,
@@ -74,6 +75,28 @@ class TestVValue:
         down = KernelSpec(alpha=0.0, eta=-0.7)
         assert v_value(up, 1, 10) <= v_value(up, 1, 20)
         assert v_value(down, 1, 10) >= v_value(down, 1, 20)
+
+
+class TestEdgeLaw:
+    """The (p, v) memo gives p_value and v_value and leaves the spec's value alone."""
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(alpha=0.5, sigma=0.3, eta=0.5, nu=2.0),
+        KernelSpec(alpha=1.0, custom_p={(1, 2): 0.5, (2, 2): 0.25}),  # unhashable table
+        KernelSpec(alpha=1.0, custom_p=lambda a, b: a / (a + 2 * b)),  # not symmetric
+    ])
+    def test_memo_matches_direct_values(self, spec):
+        before = (repr(spec), dataclasses.asdict(spec))
+        for dx, dy in [(1, 2), (2, 1), (2, 2), (1, 2)]:
+            assert edge_law(spec, dx, dy) == (p_value(spec, dx, dy), v_value(spec, dx, dy))
+        assert (repr(spec), dataclasses.asdict(spec)) == before
+        assert spec == dataclasses.replace(spec)
+
+    def test_table_miss_still_raises(self):
+        spec = KernelSpec(alpha=1.0, custom_p={(1, 2): 0.5})
+        for _ in range(2):
+            with pytest.raises(KernelError, match="no entry"):
+                edge_law(spec, 3, 3)
 
 
 class TestKernelTable(object):
