@@ -13,14 +13,16 @@ The configs: both determinism configs of the acceptance suite, one config
 per subcommand, one `simulate` config (with records) for each engine path
 the others leave out (the `wait_and_see`, `penalised` and `lower_bound`
 variants and the thinned CPDG background), a `simulate` config on lazy trees
-whose root degree is forced (`graph.root_degree`), a `simulate` config on a
-finite graph whose kernel is a `kernel.table` file (written into the
-script's temporary directory, so both sides read the same file), a second
-star-survival config whose children differ (random degrees with some
-dropped, eta > 0, nu != 1; the other star configs give every child degree
-3), a stable-star config with the same offspring law (three degree classes
-of different p), and batch 0 (seed 601) of the `bgw_survival` and
-`star_samplers` benchmark workloads.
+whose root degree is forced (`graph.root_degree`), a `wait_and_see`
+`simulate` config (with records) on lazy trees capped so that some replicas
+are truncated (where revealed edges go idle as the infection moves on), a
+`simulate` config on a finite graph whose kernel is a `kernel.table` file
+(written into the script's temporary directory, so both sides read the same
+file), a second star-survival config whose children differ (random degrees
+with some dropped, eta > 0, nu != 1; the other star configs give every
+child degree 3), a stable-star config with the same offspring law (three
+degree classes of different p), and batch 0 (seed 601) of the
+`bgw_survival` and `star_samplers` benchmark workloads.
 """
 
 import json
@@ -94,6 +96,11 @@ def configs(tmp):
                            "root_degree": 6, "max_vertices": 5000},
                  "kernel": {"alpha": 0.5}, "lambda": 1.5, "horizon": 5.0, "replicas": 200,
                  "records": True, "seed": 8}))
+    out.append(("simulate wait_and_see bgw", "simulate",
+                {"graph": {"kind": "bgw", "dist": {"kind": "geometric", "q": 0.4, "k0": 1},
+                           "max_vertices": 60},
+                 "kernel": {"alpha": 0.5, "sigma": 1.0}, "lambda": 1.5, "horizon": 10.0,
+                 "replicas": 200, "records": True, "variant": "wait_and_see", "seed": 10}))
     table = os.path.join(tmp, "kernel_table.txt")
     with open(table, "w") as fh:
         fh.write("1 3 0.8\n2 3 0.5\n2 2 0.3\n1 2 0.9\n")

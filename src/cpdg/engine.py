@@ -9,11 +9,16 @@ edge by its ``(min, max)`` vertex pair.
 
 An edge updates at rate v and is redrawn open with probability p, so its
 state is the two-state chain closed -> open at rate v p, open -> closed at
-rate v (1 - p). ``Simulation``'s explicit background runs that chain with one
-event per flip, and runs an edge's rate-lam infection clock only while the
-edge is open: a tick that finds its edge closed dies, and a flip to open
-re-arms it. Both are exact by memorylessness; together they schedule no tick
-on a closed edge and no update that keeps an edge's state.
+rate v (1 - p). ``Simulation`` runs every edge as such a chain, with rates
+fixed by its variant when the edge's record is created: the explicit CPDG
+background as above, wait-and-see with revealed as open (reveal at rate
+lam p, unreveal at rate v), and no flips in the static-rate variants. Flips
+are events, and an edge's infection clock runs only while the edge is open
+and touches the infection: a tick that finds its edge closed or idle dies,
+and a flip to open or a reactivation re-arms it. Both are exact by
+memorylessness; together they schedule no tick on a closed edge and no
+update that keeps an edge's state. The thinned CPDG background schedules
+no flips; it ticks every active edge and resolves the edge at each tick.
 
 Two families of runners live here:
 
@@ -51,7 +56,6 @@ from .rng import TAG_SIM, mix
 UPDATE = 0
 INFECT = 1
 RECOVER = 2
-REVEAL = 3
 
 # process variants
 CPDG = "cpdg"
@@ -91,32 +95,36 @@ class TrajectoryRecord:
 # edge record slots; in the wait-and-see process _OPEN means "revealed"
 _OPEN = 0
 _TIME = 1
-_UP = 2  # flips tracked by events (explicit CPDG): a flip clock is pending or the state absorbs
+_UP = 2  # flips tracked by events: a flip clock is pending or the state absorbs
 _INF = 3  # infection clock scheduled
 _P = 4
 _V = 5
-_RATE = 6
-_REV = 7  # reveal clock scheduled (wait-and-see)
+_TO_OPEN = 6  # flip rate closed -> open
+_TO_CLOSED = 7  # flip rate open -> closed
+_RATE = 8  # infection rate
 
 
 class Simulation:
     """One replica of the CPDG, a static-rate variant or the wait-and-see process.
 
-    The CPDG's explicit background runs each active edge as its two-state
-    chain: one flip clock, at rate v (1 - p) while open and v p while closed
-    (none out of an absorbing state, p = 1 open or p = 0 closed), and an
-    infection clock only while the edge is open. An idle edge is caught up by
-    the chain's transition law when it is next touched, and after extinction
-    the pending flips still fire for later snapshots. ``total_events`` and
+    Each active edge runs as a two-state chain: one flip clock, at the
+    edge's open -> closed rate while open and its closed -> open rate while
+    closed (none at rate 0, as out of an absorbing state), and an infection
+    clock only while the edge is open. ``_edge_rates`` fixes the rates per
+    variant. A flip that finds its edge idle (no infected end) applies and
+    stops the edge's flip clock; an idle CPDG edge is caught up by the
+    chain's transition law when it is next touched, and after extinction the
+    pending flips still fire for later snapshots. ``total_events`` and
     ``Caps.max_events`` count the events processed, so no tick armed on a
-    closed edge and no update that keeps an edge's state. The thinned
-    background keeps a rate-lam clock on every active edge and resolves the
-    edge state at each tick.
+    closed or idle edge and no update that keeps an edge's state. The
+    thinned background keeps a rate-lam clock on every active edge and
+    resolves the edge state at each tick.
 
-    The wait-and-see process tracks revealed edges instead of open ones. Every
-    edge starts unrevealed; an unrevealed edge touching the infection reveals
-    at rate lam * p(dx, dy) and transmits as it does, and a revealed edge
-    carries a rate-lam infection clock and unreveals at rate v(dx, dy).
+    In the wait-and-see process an open edge is a revealed one. Every edge
+    starts unrevealed; it reveals at rate lam * p(dx, dy), only while it
+    touches the infection, and transmits as it does, so a reveal flip on an
+    idle edge does not apply. A revealed edge unreveals at rate v(dx, dy)
+    and carries a rate-lam infection clock while it touches the infection.
     """
 
     __slots__ = (
@@ -174,13 +182,17 @@ class Simulation:
 
     # -- internals ----------------------------------------------------------
 
-    def _edge_rate(self, p: float, v: float) -> float:
-        if self.variant in (CPDG, WAIT_AND_SEE):
-            return self.lam
+    def _edge_rates(self, p: float, v: float) -> tuple:
+        """(closed -> open, open -> closed, infection) rates of an edge of law (p, v)."""
+        lam = self.lam
+        if self.variant == CPDG:
+            return v * p, v * (1.0 - p), lam
+        if self.variant == WAIT_AND_SEE:
+            return lam * p, v, lam
         if self.variant == PENALISED:
-            return self.lam * p
+            return 0.0, 0.0, lam * p
         if self.variant == LOWER_BOUND:
-            return lower_bound_rate(self.lam, v, p) if self.lam > 0 and p > 0 else 0.0
+            return 0.0, 0.0, lower_bound_rate(lam, v, p) if lam > 0 and p > 0 else 0.0
         raise ValueError(f"variant {self.variant!r} not supported by Simulation")
 
     def _infect(self, y: int, t: float):
@@ -213,14 +225,14 @@ class Simulation:
 
         A new edge draws its state from the stationary law (it starts open
         in the static-rate variants and unrevealed in wait-and-see); with
-        `catch_up`, an edge whose flips no event tracks (always so in thinned
-        mode) is advanced to t by the exact two-state transition.
+        `catch_up`, a CPDG edge whose flips no event tracks (always so in
+        thinned mode) is advanced to t by the exact two-state transition.
         """
         e = self.edges.get(key)
         if e is None:
             p, v = edge_law(self.kernel, self.graph.degree(x), self.graph.degree(y))
             is_open = (self._rng.random() < p) if self._has_bg else not self._ws
-            e = [is_open, t, False, False, p, v, self._edge_rate(p, v), False]
+            e = [is_open, t, False, False, p, v, *self._edge_rates(p, v)]
             self.edges[key] = e
         elif catch_up and not e[_UP] and e[_TIME] < t:
             e[_OPEN] = self._rng.random() < bg_transition(e[_P], e[_V], e[_OPEN], t - e[_TIME])
@@ -232,28 +244,20 @@ class Simulation:
         queue = self._queue
         allowed = self._allowed
         thinned = self._thinned
-        explicit = self._has_bg and not thinned
-        ws = self._ws
+        catch_up = self._has_bg and not thinned
         for y in self.graph.neighbors(x):
             if allowed is not None and y not in allowed:
                 continue
             key = (x, y) if x < y else (y, x)
-            e = self._edge(x, y, key, t, explicit)
-            if ws:
-                if not (e[_OPEN] or e[_REV]) and self.lam * e[_P] > 0.0:
-                    e[_REV] = True
-                    self._seq += 1
-                    heappush(queue, (t - math.log(rng.random()) / (self.lam * e[_P]),
-                                     self._seq, REVEAL, key[0], key[1]))
-                continue
-            if explicit and not e[_UP]:
+            e = self._edge(x, y, key, t, catch_up)
+            if not (thinned or e[_UP]):
                 e[_UP] = True
-                flip = e[_V] * (1.0 - e[_P]) if e[_OPEN] else e[_V] * e[_P]
+                flip = e[_TO_CLOSED] if e[_OPEN] else e[_TO_OPEN]
                 if flip > 0.0:
                     self._seq += 1
                     heappush(queue, (t - math.log(rng.random()) / flip,
                                      self._seq, UPDATE, key[0], key[1]))
-            # the explicit CPDG ticks only while open; others tick on every active edge
+            # an edge ticks only while open, unless its background is thinned
             if (e[_OPEN] or thinned) and e[_RATE] > 0.0 and not e[_INF]:
                 e[_INF] = True
                 self._seq += 1
@@ -294,9 +298,8 @@ class Simulation:
             e = self.edges[(u, v)]
             ui = u in infected
             vi = v in infected
-            if not (e[_OPEN] if self._ws else (ui or vi) and (e[_OPEN] or self._thinned)):
-                # the clock dies with the edge idle, or closed in the explicit
-                # CPDG (unrevealed, in wait-and-see)
+            if not ((ui or vi) and (e[_OPEN] or self._thinned)):
+                # the clock dies with the edge idle or, unless thinned, closed
                 e[_INF] = False
                 return item
             if self._thinned and e[_TIME] < t:
@@ -317,54 +320,33 @@ class Simulation:
                 self.done = True
                 self.outcome = EXTINCT
             return item
+        # UPDATE: the edge flips. An idle edge stops its flip clock, and a
+        # wait-and-see reveal, which needs the infection beside it, does not
+        # apply there; an edge touching the infection arms its next flip and,
+        # now open, its infection clock, and a reveal transmits.
         v = item[4]
         e = self.edges[(u, v)]
-        if kind == REVEAL:
-            # reveal and transmit, then arm the infection and unreveal clocks
-            e[_REV] = False
-            ui = u in infected
-            vi = v in infected
-            if not (ui or vi):
-                return item
-            e[_OPEN] = True
-            if ui != vi:
-                self._infect(v if ui else u, t)
-            if not self.done:
-                if not e[_INF]:
-                    e[_INF] = True
-                    self._seq += 1
-                    heappush(queue, (t - math.log(self._rng.random()) / e[_RATE],
-                                     self._seq, INFECT, u, v))
-                self._seq += 1
-                heappush(queue, (t - math.log(self._rng.random()) / e[_V],
-                                 self._seq, UPDATE, u, v))
-            return item
-        if self._ws:
-            # UPDATE unreveals; an edge still touching the infection re-arms its reveal
-            e[_OPEN] = False
-            if u in infected or v in infected:
-                e[_REV] = True
-                self._seq += 1
-                heappush(queue, (t - math.log(self._rng.random()) / (self.lam * e[_P]),
-                                 self._seq, REVEAL, u, v))
-            return item
-        # UPDATE: the edge flips; an edge still touching the infection arms its
-        # next flip and, now open, its infection clock
-        is_open = e[_OPEN] = not e[_OPEN]
         e[_TIME] = t
-        if u in infected or v in infected:
-            flip = e[_V] * (1.0 - e[_P]) if is_open else e[_V] * e[_P]
-            if flip > 0.0:
-                self._seq += 1
-                heappush(queue, (t - math.log(self._rng.random()) / flip,
-                                 self._seq, UPDATE, u, v))
-            if is_open and e[_RATE] > 0.0 and not e[_INF]:
+        ui = u in infected
+        vi = v in infected
+        if not (ui or vi):
+            e[_OPEN] = not (self._ws or e[_OPEN])
+            e[_UP] = False
+            return item
+        is_open = e[_OPEN] = not e[_OPEN]
+        flip = e[_TO_CLOSED] if is_open else e[_TO_OPEN]
+        if flip > 0.0:
+            self._seq += 1
+            heappush(queue, (t - math.log(self._rng.random()) / flip,
+                             self._seq, UPDATE, u, v))
+        if is_open:
+            if e[_RATE] > 0.0 and not e[_INF]:
                 e[_INF] = True
                 self._seq += 1
                 heappush(queue, (t - math.log(self._rng.random()) / e[_RATE],
                                  self._seq, INFECT, u, v))
-        else:
-            e[_UP] = False
+            if self._ws and ui != vi:
+                self._infect(v if ui else u, t)
         return item
 
     # -- state observation ----------------------------------------------------
@@ -417,7 +399,7 @@ class Simulation:
                     t, _, kind, u, v = heappop(queue)
                     if kind == UPDATE:
                         e = self.edges[(u, v)]
-                        # wait-and-see unreveals; the CPDG flips and suspends
+                        # an idle flip, as in step: no reveal without infection
                         e[_OPEN] = not (self._ws or e[_OPEN])
                         e[_TIME] = t
                         e[_UP] = False

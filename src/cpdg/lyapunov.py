@@ -19,7 +19,7 @@ import numpy as np
 from .closedform import ConditionError
 from .engine import WAIT_AND_SEE, Caps, Simulation
 from .graph import GraphView
-from .kernels import KernelSpec, p_value, v_value
+from .kernels import KernelSpec, edge_law
 from .rng import replica_seed
 
 
@@ -92,8 +92,7 @@ def check_conditions(graph: GraphView, kernel: KernelSpec,
         s_w = 0.0
         s_d = 0.0
         for y in graph.neighbors(x):
-            p = p_value(kernel, degrees[y], degrees[x])
-            v = v_value(kernel, degrees[y], degrees[x])
+            p, v = edge_law(kernel, degrees[y], degrees[x])
             s_w += weights[y] * p
             s_d += p / (v * v)
             v_min = min(v_min, v)
@@ -122,7 +121,7 @@ def f_value(infected, revealed_pairs, graph: GraphView, kernel: KernelSpec,
     r_sum: dict[int, float] = {}
     q_sum: dict[int, float] = {}
     for u, v in revealed_pairs:
-        rate = v_value(kernel, graph.degree(u), graph.degree(v))
+        rate = edge_law(kernel, graph.degree(u), graph.degree(v))[1]
         for x in (u, v):
             r_sum[x] = r_sum.get(x, 0.0) + lam / rate
             q_sum[x] = q_sum.get(x, 0.0) + lam / (rate * rate)

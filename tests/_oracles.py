@@ -7,6 +7,8 @@ per-child loop sampler that the flat-array one in `cpdg.experiments` replaced;
 the two must return equal records from the same streams. The stable star is
 the per-child sampler that the count chain replaced; the two must agree in
 law. `tv_distance` compares a sample histogram with an exact law.
+`waitandsee_model` is the exact generator of the wait-and-see process,
+built from its transition rules in the exact oracle's bit encoding.
 """
 
 import bisect
@@ -14,11 +16,12 @@ import heapq
 import math
 
 import numpy as np
+from scipy import sparse
 
-from cpdg import engine
+from cpdg import engine, oracle
 from cpdg.experiments import StarReplicaRecord
 from cpdg.graph import build_finite
-from cpdg.kernels import p_value_array
+from cpdg.kernels import p_value, p_value_array, v_value
 from cpdg.rng import mix
 
 
@@ -55,6 +58,51 @@ def tv_distance(empirical_counts: dict, exact: np.ndarray, n_samples: int) -> fl
     for idx, cnt in empirical_counts.items():
         emp[idx] = cnt / n_samples
     return 0.5 * float(np.abs(emp - exact).sum())
+
+
+def waitandsee_model(graph, kernel, lam):
+    """Exact (infected, revealed) chain of the wait-and-see process.
+
+    States use `oracle.ExactModel`'s encoding with bit j of the edge bits set
+    when edge j is revealed. Each infected vertex recovers at rate 1. A
+    revealed edge unreveals at rate v and ticks at rate lam, a tick
+    infecting the healthy end when exactly one end is infected. An
+    unrevealed edge with an infected end reveals at rate lam p and infects
+    its far end as it does. Every edge starts unrevealed, so `p_open` is
+    zero and `oracle.initial_distribution` gives a point mass.
+    """
+    n = graph.n_vertices
+    edges = tuple(graph.edges())
+    m = len(edges)
+    p = [p_value(kernel, graph.degree(u), graph.degree(w)) for u, w in edges]
+    v = [v_value(kernel, graph.degree(u), graph.degree(w)) for u, w in edges]
+    rates = {}
+
+    def add(s, target, r):
+        if r > 0.0 and target != s:
+            rates[s, target] = rates.get((s, target), 0.0) + r
+
+    for s in range(1 << (n + m)):
+        c, b = s & ((1 << n) - 1), s >> n
+        for x in range(n):
+            if c >> x & 1:
+                add(s, s ^ (1 << x), 1.0)
+        for j, (u, w) in enumerate(edges):
+            ui, wi = c >> u & 1, c >> w & 1
+            both = s | (1 << u) | (1 << w)
+            if b >> j & 1:
+                add(s, s ^ (1 << (n + j)), v[j])
+                if ui != wi:
+                    add(s, both, lam)
+            elif ui or wi:
+                add(s, both | (1 << (n + j)), lam * p[j])
+    rows, cols = zip(*rates)
+    q = sparse.coo_matrix((list(rates.values()), (rows, cols)),
+                          shape=(1 << (n + m),) * 2).tocsr()
+    out = np.asarray(q.sum(axis=1)).ravel()
+    return oracle.ExactModel(n_vertices=n, edges=edges, p_open=np.zeros(m), lam=lam,
+                             generator=(q - sparse.diags(out)).tocsr(),
+                             uniformization_rate=float(out.max()))
 
 
 def random_connected_graph(n_vertices, seed, extra_edge_prob=0.4):

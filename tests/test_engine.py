@@ -14,12 +14,42 @@ from cpdg.kernels import KernelSpec
 from cpdg.lyapunov import LINEAR_WEIGHT, supermartingale_trace
 from cpdg.rng import replica_seed
 
-from _oracles import random_connected_graph
+from _oracles import random_connected_graph, waitandsee_model
 
 K2 = build_finite([(0, 1)])
 STAR3 = build_finite([(0, 1), (0, 2), (0, 3)])
 PATH4 = build_finite([(0, 1), (1, 2), (2, 3)])
 SIGMA_HALF = KernelSpec(alpha=0.5, sigma=1.0)
+
+
+def _assert_matches_chain(model, replica, n):
+    """`n` runs from vertex 0 against an exact chain: the state at t = 1 by a
+    chi-square test, and the mean extinction time within 4 SE.
+
+    `replica(i)` returns run i's record and its snapshot at t = 1. Cells
+    expected at least 5 times are tested alone, the rest pooled into one tail
+    cell (folded into another if it is small).
+    """
+    init = oracle.initial_distribution(model, [0])
+    expected = oracle.transient_distribution(model, init, 1.0) * n
+    counts = np.zeros(model.n_states)
+    times = np.empty(n)
+    for i in range(n):
+        rec, (_, infected, edges) = replica(i)
+        assert rec.outcome == engine.EXTINCT
+        counts[model.encode(infected, edges)] += 1
+        times[i] = rec.time
+    big = expected >= 5.0
+    obs, exp = counts[big], expected[big]
+    tail_obs, tail_exp = counts[~big].sum(), expected[~big].sum()
+    if tail_exp >= 5.0:
+        obs, exp = np.append(obs, tail_obs), np.append(exp, tail_exp)
+    else:
+        obs[-1] += tail_obs
+        exp[-1] += tail_exp
+    assert stats.chisquare(obs, exp).pvalue > 1e-3
+    se = times.std(ddof=1) / math.sqrt(n)
+    assert abs(times.mean() - oracle.extinction_stats(model, init).mean_time) <= 4 * se
 
 
 class TestBasics:
@@ -73,11 +103,13 @@ class TestBasics:
         assert hits >= 0.6 * 500
 
     def test_step_order(self):
-        sim = Simulation(STAR3, SIGMA_HALF, 1.5, CPDG, {0}, Caps(horizon=6.0), seed=8)
-        items = list(iter(sim.step, None))
-        assert len(items) == sim.events
-        assert {item[2] for item in items} <= {engine.UPDATE, engine.INFECT, engine.RECOVER}
-        assert [item[:2] for item in items] == sorted(item[:2] for item in items)
+        # every variant's edges run as the same flip chain: three event kinds
+        for variant in (CPDG, WAIT_AND_SEE):
+            sim = Simulation(STAR3, SIGMA_HALF, 1.5, variant, {0}, Caps(horizon=6.0), seed=8)
+            items = list(iter(sim.step, None))
+            assert len(items) == sim.events
+            assert {item[2] for item in items} <= {engine.UPDATE, engine.INFECT, engine.RECOVER}
+            assert [item[:2] for item in items] == sorted(item[:2] for item in items)
 
 
 class TestPureDeath:
@@ -184,35 +216,13 @@ class TestFlipBackgroundLaw:
         (KernelSpec(alpha=0.0), 0.8),
     ])
     def test_path_matches_oracle(self, spec, lam):
-        model = oracle.build_exact(PATH4, spec, lam)
-        init = oracle.initial_distribution(model, [0])
-        expected = oracle.transient_distribution(model, init, 1.0)
-        ext = oracle.extinction_stats(model, init)
-        n = 100_000
-        counts = np.zeros(model.n_states)
-        times = np.empty(n)
         caps = Caps(horizon=1e4)
-        for i in range(n):
+
+        def replica(i):
             sim = Simulation(PATH4, spec, lam, CPDG, {0}, caps, seed=replica_seed(41, i))
-            rec = sim.run(snapshot_times=(1.0,))
-            assert rec.outcome == engine.EXTINCT
-            _, infected, open_edges = sim.snapshots[0]
-            counts[model.encode(infected, open_edges)] += 1
-            times[i] = rec.time
-        # chi-square on the t = 1 state: states expected >= 5 times, the
-        # rest pooled into one tail cell (folded into another if it is small)
-        expected *= n
-        big = expected >= 5.0
-        obs, exp = counts[big], expected[big]
-        tail_obs, tail_exp = counts[~big].sum(), expected[~big].sum()
-        if tail_exp >= 5.0:
-            obs, exp = np.append(obs, tail_obs), np.append(exp, tail_exp)
-        else:
-            obs[-1] += tail_obs
-            exp[-1] += tail_exp
-        assert stats.chisquare(obs, exp).pvalue > 1e-3
-        se = times.std(ddof=1) / math.sqrt(n)
-        assert abs(times.mean() - ext.mean_time) <= 4 * se
+            return sim.run(snapshot_times=(1.0,)), sim.snapshots[0]
+
+        _assert_matches_chain(oracle.build_exact(PATH4, spec, lam), replica, 100_000)
 
     def test_lazy_trees_match_thinned(self):
         # no oracle reaches lazy trees; the thinned background, which keeps
@@ -287,6 +297,20 @@ class TestVariants:
 
 
 class TestWaitAndSee:
+    @pytest.mark.parametrize("graph, spec, lam", [
+        (STAR3, KernelSpec(alpha=0.5, sigma=1.0, nu=1.5), 1.0),
+        (PATH4, KernelSpec(alpha=1.5, sigma=1.0, nu=2.0, eta=0.5), 3.0),
+    ], ids=["star3", "path4"])
+    def test_law_matches_exact_chain(self, graph, spec, lam):
+        caps = Caps(horizon=1e4)
+
+        def replica(i):
+            sim = Simulation(graph, spec, lam, WAIT_AND_SEE, {0}, caps,
+                             seed=replica_seed(47, i))
+            return sim.run(snapshot_times=(1.0,)), sim.snapshots[0]
+
+        _assert_matches_chain(waitandsee_model(graph, spec, lam), replica, 40_000)
+
     def test_pure_death_at_lambda_zero(self):
         rec = run_replica(K2, SIGMA_HALF, 0.0, WAIT_AND_SEE, {0}, Caps(horizon=60.0), seed=1)
         assert rec.outcome == engine.EXTINCT
@@ -436,16 +460,23 @@ def _golden_coupled_blob() -> str:
 
 
 def _golden_blob() -> str:
-    """repr of records from every `Simulation` variant but the explicit CPDG
-    at fixed seeds, one line per run."""
+    """repr of records from the thinned CPDG and the static-rate variants at
+    fixed seeds, one line per run."""
     lines = []
-    kernel = GOLDEN_KERNEL
     for variant, bg_mode in [(CPDG, "thinned"), (PENALISED, "explicit"),
-                             (engine.LOWER_BOUND, "explicit"), (WAIT_AND_SEE, "explicit")]:
+                             (engine.LOWER_BOUND, "explicit")]:
         _golden_trees(variant, bg_mode, lines)
     _golden_snapshots_and_steps("thinned", lines)
+    return "\n".join(repr(x) for x in lines)
+
+
+def _golden_waitsee_blob() -> str:
+    """repr of wait-and-see records, snapshots and a supermartingale trace at
+    fixed seeds, one line per run."""
+    lines = []
+    _golden_trees(WAIT_AND_SEE, "explicit", lines)
     for seed in range(20):
-        sim = Simulation(STAR3, kernel, 1.2, WAIT_AND_SEE, {0}, Caps(horizon=5.0),
+        sim = Simulation(STAR3, GOLDEN_KERNEL, 1.2, WAIT_AND_SEE, {0}, Caps(horizon=5.0),
                          replica_seed(15, seed))
         rec = sim.run(snapshot_times=(0.5, 1.0, 2.0, 4.0))
         lines.append(((rec.outcome, rec.time, rec.peak_infected),
@@ -460,18 +491,22 @@ def _golden_blob() -> str:
 class TestGoldenRecords:
     # sha256 of the blobs; a change that keeps every RNG draw in order keeps
     # them, so a mismatch means some output changed for a fixed seed.
-    # DIGEST covers every `Simulation` variant but the explicit-background
-    # CPDG. It was re-pinned when the keyed activation-order oracle and its
-    # records left the blob, and again when the coupled runners' records
-    # moved to their own blob; both values were computed on the code before
-    # the change. EXPLICIT_DIGEST was re-pinned when that background began
-    # to run as flips, with infection clocks only on open edges (same law,
-    # fewer draws). COUPLED_DIGEST was pinned when a coupled run began to
-    # draw from one stream in event order instead of per-edge and per-vertex
-    # streams (same laws, other draws).
-    DIGEST = "4271eba80f0da6b38baa3f9aa45d13567b25c98948427f00f4cdc831b6568282"
+    # DIGEST covers the thinned CPDG and the static-rate variants. It was
+    # re-pinned when the keyed activation-order oracle and its records left
+    # the blob, and each time another runner's records moved to a blob of
+    # their own (the coupled runners, then wait-and-see); every value was
+    # computed on the code before the change. EXPLICIT_DIGEST was re-pinned
+    # when that background began to run as flips, with infection clocks only
+    # on open edges (same law, fewer draws). COUPLED_DIGEST was pinned when a
+    # coupled run began to draw from one stream in event order instead of
+    # per-edge and per-vertex streams (same laws, other draws).
+    # WAITSEE_DIGEST was pinned when wait-and-see edges began to run as the
+    # CPDG's flip chain, with reveals as flips to open (same law, other
+    # draws).
+    DIGEST = "c7b0569f5468434e5d0862517c450862fb9f7a933e429cf33e30d3e1fb2970dd"
     EXPLICIT_DIGEST = "1f88dd9c0660c81bc33502ef297a7094f1fe41263a0e3fe0c8cc2d22d8f47cc4"
     COUPLED_DIGEST = "4a788e9f72b02dedf426422bc5f7828c051e4fc03e969a63cc390dfe579d52cb"
+    WAITSEE_DIGEST = "ce18c5c381af52fdf1794c929ee2e159691f6bdcac015460bbc4d0b01e969ec9"
 
     def test_records_are_bit_identical(self):
         assert hashlib.sha256(_golden_blob().encode()).hexdigest() == self.DIGEST
@@ -479,6 +514,10 @@ class TestGoldenRecords:
     def test_coupled_records_are_bit_identical(self):
         blob = _golden_coupled_blob()
         assert hashlib.sha256(blob.encode()).hexdigest() == self.COUPLED_DIGEST
+
+    def test_waitsee_records_are_bit_identical(self):
+        blob = _golden_waitsee_blob()
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.WAITSEE_DIGEST
 
     def test_explicit_cpdg_records_are_bit_identical(self):
         blob = _golden_explicit_blob()
