@@ -1,7 +1,11 @@
-"""Closed-form laws, constants, and condition checkers.
+"""Closed-form laws, bounds and constants, and the phase classifier.
 
-These functions serve double duty: oracles for the simulator's tests and
-planners for the experiment harnesses. All of them are pure.
+The single-edge laws (background chain, transmission probability and time,
+geometric-sum transform, coupling rate) back the `edge-law` subcommand and
+serve as oracles for the engine's tests. `path_lower_bound` is the bound the
+`path` experiment is checked against, `star_constants` plans the star
+experiments, and `phase_classify` places kernel exponents in the paper's
+phase diagram. All of them are pure.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from .kernels import KernelSpec, p_value, v_value
 # gamma = max_theta (4*theta + 2*log(1-theta)) = 2 - 2*log(2)
 GAMMA = 2.0 - 2.0 * math.log(2.0)
 
-# good-neighbour constant c; any value in (0, 3 - 2*sqrt(2)) works
+# good-neighbour constant c; the paper allows any value in (0, 3 - 2*sqrt(2))
 GOOD_NEIGHBOUR_C = 0.15
-
-_C_MAX = 3.0 - 2.0 * math.sqrt(2.0)
 
 
 class ConditionError(ValueError):
@@ -122,34 +124,6 @@ def lower_bound_rate(lam: float, v: float, p: float) -> float:
 # path transmission bound
 # ---------------------------------------------------------------------------
 
-def prune_envelope(kernel: KernelSpec, degree_bound: int):
-    """Tight envelope constants (kappa1, kappa2, nu1, nu2) over m <= degree_bound.
-
-    For the sigma kernel, p(n, m) n^alpha = kappa m^{-sigma alpha} for n >= m,
-    so kappa1 = kappa L^{-sigma alpha} and kappa2 = kappa; the built-in speed
-    law depends only on the larger degree, so nu1 = nu2 = nu.
-    """
-    if kernel.custom_p is not None:
-        raise ConditionError("closed-form star bounds require a sigma kernel")
-    kappa1 = kernel.kappa * float(degree_bound) ** (-kernel.sigma * kernel.alpha)
-    return kappa1, kernel.kappa, kernel.nu, kernel.nu
-
-
-def _relay_constants(kernel: KernelSpec, degree_bound: int, n, lam: float):
-    """(c_p, C_p(N), factor) of the star-to-star relay bound for stars of size n.
-
-    c_p = L^{(eta^0)-alpha}, C_p(N) = (kappa1/(kappa2 c_p) (N+1)^{(eta^0)-alpha})^2,
-    and factor = lam nu1 kappa1 c_p / (lam + lam nu1 + nu1 + 1) is the
-    per-generation transmission factor.
-    """
-    expo = min(kernel.eta, 0.0) - kernel.alpha
-    c_p = float(degree_bound) ** expo
-    kappa1, kappa2, nu1, _ = prune_envelope(kernel, degree_bound)
-    big_c_p = (kappa1 / (kappa2 * c_p) * (n + 1.0) ** expo) ** 2
-    factor = lam * nu1 * kappa1 * c_p / (lam + lam * nu1 + nu1 + 1.0)
-    return c_p, big_c_p, factor
-
-
 @dataclass(frozen=True)
 class PathBound:
     """Lower bound on infecting the far end of a path within 4r time units."""
@@ -157,20 +131,12 @@ class PathBound:
     r: int
     probability: float  # (1 - e^{-gamma r}) * prod of per-edge transmission probs
     per_edge: tuple
-    star_form: float  # simplified (1-e^-gamma) (lam nu1 kappa1 c_p / ...)^r C_p(N) bound
-    c_p: float
-    big_c_p: float
 
 
-def path_lower_bound(degrees, lam: float, kernel: KernelSpec,
-                     n_star: int | None = None, degree_bound: int | None = None) -> PathBound:
+def path_lower_bound(degrees, lam: float, kernel: KernelSpec) -> PathBound:
     """Evaluate the product path bound for consecutive degrees along a path.
 
-    `degrees` lists the degrees of the r+1 path vertices in order. When
-    `n_star` and `degree_bound` (the pruning level) are given, the simplified
-    star-to-star form with constants c_p = L^{(eta^0)-alpha} and
-    C_p(N) = (kappa1/(kappa2 c_p) (N+1)^{(eta^0)-alpha})^2 is also reported
-    (kappa1 = kappa2 = kappa and nu1 = nu2 = nu for the built-in kernels).
+    `degrees` lists the degrees of the r+1 path vertices in order.
     """
     degs = [int(d) for d in degrees]
     if len(degs) < 2:
@@ -185,18 +151,11 @@ def path_lower_bound(degrees, lam: float, kernel: KernelSpec,
     for q in per_edge:
         prod *= q
     probability = (1.0 - math.exp(-GAMMA * r)) * prod
-    star_form = math.nan
-    c_p = math.nan
-    big_c_p = math.nan
-    if n_star is not None and degree_bound is not None:
-        c_p, big_c_p, factor = _relay_constants(kernel, degree_bound, n_star, lam)
-        star_form = (1.0 - math.exp(-GAMMA)) * factor ** r * big_c_p
-    return PathBound(r=r, probability=probability, per_edge=tuple(per_edge),
-                     star_form=star_form, c_p=c_p, big_c_p=big_c_p)
+    return PathBound(r=r, probability=probability, per_edge=tuple(per_edge))
 
 
 # ---------------------------------------------------------------------------
-# star constants and survival displays
+# star constants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -207,7 +166,7 @@ class StarConstants:
     degree_bound: int
     lam: float
     p_edge: float  # p(n, L)
-    window: float  # T = 1 / (1 + nu2 n^eta)
+    window: float  # T = 1 / (1 + v(n, L)) = 1 / (1 + nu n^eta)
     c: float
     low_degree_mass: float  # P(offspring <= L - 1)
     stability_const: float  # c_L = c e^-4 * low_degree_mass
@@ -222,21 +181,18 @@ class StarConstants:
 
 
 def star_constants(n: int, degree_bound: int, lam: float, kernel: KernelSpec,
-                   dist: OffspringDistribution, c: float = GOOD_NEIGHBOUR_C) -> StarConstants:
+                   dist: OffspringDistribution) -> StarConstants:
     """Derived star quantities; recomputed from scratch on every call."""
     if not 1 <= degree_bound <= n:
         raise ConditionError("need n >= L >= 1")
-    if not 0.0 < c < _C_MAX:
-        raise ConditionError(f"c must lie in (0, {_C_MAX:.5f}), got {c}")
     mu_pruned = dist.mean_below(degree_bound)
     if mu_pruned <= 1.0:
         raise ConditionError(
             f"prune level too low: E[offspring below {degree_bound}] = {mu_pruned:.4f} <= 1")
     p_edge = p_value(kernel, n, degree_bound)
-    # nu2 = nu for the built-in speed law v = nu (dx v dy)^eta
-    window = 1.0 / (1.0 + kernel.nu * float(n) ** kernel.eta)
+    window = 1.0 / (1.0 + v_value(kernel, n, degree_bound))
     phi = dist.prob_le(degree_bound - 1)
-    c_l = c * math.exp(-4.0) * phi
+    c_l = GOOD_NEIGHBOUR_C * math.exp(-4.0) * phi
     delta = c_l / 8.0
     npe = n * p_edge
     threshold = c_l * npe
@@ -245,104 +201,13 @@ def star_constants(n: int, degree_bound: int, lam: float, kernel: KernelSpec,
     survival_windows = int(math.floor(math.exp(min(expo, 700.0))))
     return StarConstants(
         n=n, degree_bound=degree_bound, lam=lam, p_edge=p_edge, window=window,
-        c=c, low_degree_mass=phi, stability_const=c_l, delta=delta,
+        c=GOOD_NEIGHBOUR_C, low_degree_mass=phi, stability_const=c_l, delta=delta,
         threshold=threshold, stable_windows=stable_windows,
         survival_windows=survival_windows, survival_span=window * survival_windows,
         mu_pruned=mu_pruned,
         kick_ok=2.0 * lam * window < 1.0,
         local_ok=1.5 * lam * window < 1.0,
     )
-
-
-@dataclass(frozen=True)
-class SurvivalDisplays:
-    """The three star-survival display functions, up to the universal constant."""
-
-    depletion_bound: float  # R(N): P(good infected neighbours dip below the floor)
-    transmission_failure: float  # F(N, r)
-    relay_rate_bound: float  # b(N): per-attempt success rate factor
-    universal_const: float
-    kick_ok: bool
-    local_ok: bool
-
-
-def survival_functions(n: int, r: int, lam: float, kernel: KernelSpec,
-                       dist: OffspringDistribution, degree_bound: int,
-                       c: float = GOOD_NEIGHBOUR_C,
-                       universal_const: float = 1.0) -> SurvivalDisplays:
-    """Evaluate R, F and b exactly (universal constant exposed, default 1)."""
-    sc = star_constants(n, degree_bound, lam, kernel, dist, c=c)
-    return _survival(sc, r, kernel, universal_const)[0]
-
-
-def _survival(sc: StarConstants, r: int, kernel: KernelSpec, universal_const: float):
-    """The displays of star `sc` at relay depth r, with the C_p(N), factor and
-    relay tries floor(S / (8r + 4T)) they are built from."""
-    n, lam, degree_bound = sc.n, sc.lam, sc.degree_bound
-    if not sc.local_ok:
-        raise ConditionError(f"local survival needs (3/2) lam T < 1; lam T = {lam * sc.window:.4f}")
-    T = sc.window
-    npe = n * sc.p_edge
-    x = sc.delta * lam * lam * T * T * npe
-    y = sc.delta * lam * T * npe
-    depletion = 1.0 - (1.0 - universal_const * math.exp(-x)) * math.exp(-2.0 * T) * (1.0 - math.exp(-y))
-    m_relay = math.floor(sc.delta * lam * T * npe)
-    relay = (lam * m_relay * T / ((lam * m_relay + 1.0) * T + 1.0)) * (1.0 - math.exp(-GAMMA))
-    _, big_c_p, factor = _relay_constants(kernel, degree_bound, n, lam)
-    tries = math.floor(sc.survival_span / (8.0 * r + 4.0 * T))
-    base = 1.0 - relay * big_c_p * factor ** r
-    failure = base ** tries if tries > 0 else 1.0
-    displays = SurvivalDisplays(
-        depletion_bound=depletion,
-        transmission_failure=failure,
-        relay_rate_bound=relay,
-        universal_const=universal_const,
-        kick_ok=sc.kick_ok,
-        local_ok=sc.local_ok,
-    )
-    return displays, big_c_p, factor, tries
-
-
-@dataclass(frozen=True)
-class StarCondition:
-    """Both sides of the star-relay feasibility inequality."""
-
-    r: int
-    lhs: float
-    rhs: float
-    satisfied: bool
-
-
-def relay_depth(mu_pruned: float, c_h: float, n: int, p_n: float) -> int:
-    """Generations to look ahead for the next star of size n.
-
-    ceil(-log(mu_L^-1 c_h n P(zeta = n)) / log mu_L), at least 1.
-    """
-    if mu_pruned <= 1.0:
-        raise ConditionError("pruned mean must exceed 1")
-    r = math.ceil(-math.log(c_h * n * p_n / mu_pruned) / math.log(mu_pruned))
-    return max(int(r), 1)
-
-
-def r_n_and_star_condition(n: int, lam: float, kernel: KernelSpec,
-                           dist: OffspringDistribution, degree_bound: int,
-                           c_h: float, good_c: float = GOOD_NEIGHBOUR_C,
-                           universal_const: float = 1.0) -> StarCondition:
-    """Generation depth r(N) and the feasibility check it must satisfy.
-
-    r(N) = ceil(-log(mu_L^-1 c_h N P(zeta = N)) / log mu_L); the condition
-    compares floor(S/(8r+4T)) * C_p(N) against 4 / (b(N) * factor^r).
-    """
-    pz = dist.pmf_at(n)
-    if pz <= 0.0:
-        raise ConditionError(f"P(offspring = {n}) = 0; cannot target stars of that size")
-    sc = star_constants(n, degree_bound, lam, kernel, dist, c=good_c)
-    r = relay_depth(sc.mu_pruned, c_h, n, pz)
-    disp, big_c_p, factor, tries = _survival(sc, r, kernel, universal_const)
-    lhs = tries * big_c_p
-    denom = disp.relay_rate_bound * factor ** r
-    rhs = 4.0 / denom if denom > 0.0 else math.inf
-    return StarCondition(r=r, lhs=lhs, rhs=rhs, satisfied=lhs > rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -154,7 +155,8 @@ def estimate_survival(spec, kernel: KernelSpec, lam: float, horizon: float,
         bounds = np.linspace(0, replicas, 4 * threads + 1).astype(int)
         jobs = [args[:4] + (int(a), int(b)) + args[6:]
                 for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with multiprocessing.Pool(threads) as pool:
+        # no more workers than chunks or cores; the result does not depend on it
+        with multiprocessing.Pool(min(threads, len(jobs), os.cpu_count() or 1)) as pool:
             chunks = pool.map(_survival_chunk, jobs)
     extinct = sum(c[0] for c in chunks)
     alive = sum(c[1] for c in chunks)

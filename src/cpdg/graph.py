@@ -346,10 +346,6 @@ class GraphView:
             self._children[v] = kids
         return kids
 
-    def path_key(self, v: int) -> int:
-        """Stable structural identity of v (hash of the root-path)."""
-        return self._key[v]
-
 
 def build_finite(edge_list) -> GraphView:
     """Build a simple connected finite graph from (u, v) pairs.
@@ -401,17 +397,8 @@ def grow_bgw(dist: OffspringDistribution, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# dump / load
+# edge-list files
 # ---------------------------------------------------------------------------
-
-def save_edge_list(g: GraphView, path: str) -> None:
-    edges = g.edges()
-    n = g.n_vertices
-    with open(path, "w") as fh:
-        fh.write(f"#vertices {n}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
-
 
 def load_edge_list(path: str) -> GraphView:
     """Read a `#vertices N` header and one `u v` pair per line.

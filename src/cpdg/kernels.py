@@ -6,15 +6,16 @@ The parametric family is
     v(dx, dy) = nu * (dx v dy)^eta
 
 with sigma in [0, 1] interpolating between the maximum kernel (sigma=0) and
-the product kernel (sigma=1). Custom tabulated/functional kernels are
-supported with envelope diagnostics against the polynomial bounds
-kappa1 n^-alpha <= p(n, m) <= kappa2 n^-alpha and nu1 n^eta <= v <= nu2 n^eta.
+the product kernel (sigma=1). A custom table or function can replace p; the
+speed law v is always the built-in one. A rate is refused unless both v and
+its mean holding time 1/v are normal floats: past that range the rate
+overflows or vanishes, or a run's clock cannot advance past its own flips.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,11 @@ from .graph import OffspringDistribution
 
 class KernelError(ValueError):
     """Invalid kernel parameters or custom-kernel input."""
+
+
+# update rates v with v and 1/v both normal floats: about [2.2e-308, 4.5e307]
+_RATE_MIN = sys.float_info.min
+_RATE_MAX = 1.0 / _RATE_MIN
 
 
 @dataclass(frozen=True)
@@ -44,10 +50,6 @@ class KernelSpec:
             raise KernelError(f"kappa must be > 0, got {self.kappa}")
         if self.nu <= 0:
             raise KernelError(f"nu must be > 0, got {self.nu}")
-
-    @property
-    def mode(self) -> str:
-        return "custom" if self.custom_p is not None else "sigma"
 
 
 def p_value(spec: KernelSpec, dx: int, dy: int) -> float:
@@ -75,10 +77,22 @@ def p_value_array(spec: KernelSpec, dx, dy) -> np.ndarray:
 
 
 def v_value(spec: KernelSpec, dx: int, dy: int) -> float:
-    """Update rate of an edge between degrees dx, dy."""
+    """Update rate of an edge between degrees dx, dy.
+
+    Raises KernelError unless nu * (dx v dy)^eta and its reciprocal are both
+    normal floats; a power that overflows or underflows to 0 fails this too.
+    """
     if dx < 1 or dy < 1:
         raise KernelError("degrees must be >= 1")
-    return spec.nu * float(max(dx, dy)) ** spec.eta
+    d = max(dx, dy)
+    try:
+        v = spec.nu * float(d) ** spec.eta
+    except OverflowError:
+        v = math.inf
+    if not _RATE_MIN <= v <= _RATE_MAX:
+        raise KernelError(f"update rate nu * {d}^eta = {spec.nu:g} * {d}^{spec.eta:g} = {v:g} "
+                          f"lies outside [{_RATE_MIN:.3g}, {_RATE_MAX:.3g}]")
+    return v
 
 
 def edge_law(spec: KernelSpec, dx: int, dy: int) -> tuple:
@@ -147,35 +161,6 @@ class PercolatedOffspring:
     base: OffspringDistribution
     kernel: KernelSpec
 
-    def mixed_binomial_success(self, z: int) -> float:
-        """E[p(z', z)] for an offspring count z, with z' an independent copy."""
-        if z < 1:
-            return 0.0
-        vals = self.base.values
-        probs = self.base.pmf
-        ps = p_value_array(self.kernel, np.full(vals.shape, z), np.maximum(vals, 1))
-        acc = float(np.dot(ps, probs))
-        if self.base.tail is not None:
-            # analytic-tail children sit beyond the head, where the sigma
-            # kernel is monotone; their total mass (<=1e-6) is bounded by the
-            # kernel value at the head end
-            tail_mass = 1.0 - self.base.head_mass
-            acc += tail_mass * p_value(self.kernel, z, int(vals[-1]) + 1)
-        return min(1.0, acc)
-
-
-def sample_zeta_p(pd: PercolatedOffspring, rng: random.Random) -> int:
-    """One two-stage draw: offspring count, then Bernoulli thinning per child."""
-    z = pd.base.sample(rng)
-    if z == 0:
-        return 0
-    count = 0
-    for _ in range(z):
-        zi = pd.base.sample(rng)
-        if rng.random() < p_value(pd.kernel, z, max(zi, 1)):
-            count += 1
-    return count
-
 
 def sample_zeta_p_array(pd: PercolatedOffspring, gen: np.random.Generator, n: int) -> np.ndarray:
     """Vectorized two-stage sampler for large Monte Carlo runs."""
@@ -193,15 +178,6 @@ def sample_zeta_p_array(pd: PercolatedOffspring, gen: np.random.Generator, n: in
     nonempty = z > 0
     out[nonempty] = sums[nonempty]
     return out
-
-
-def sample_mixed_binomial_array(pd: PercolatedOffspring, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Direct Bin(z, E[p(z', z) | z]) sampler; distributionally equals the two-stage one."""
-    z = pd.base.sample_array(gen, n)
-    qs = np.array([pd.mixed_binomial_success(int(k)) for k in np.unique(z)])
-    lut = dict(zip((int(k) for k in np.unique(z)), qs))
-    q = np.array([lut[int(k)] for k in z])
-    return gen.binomial(z, q)
 
 
 # ---------------------------------------------------------------------------

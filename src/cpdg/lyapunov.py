@@ -27,31 +27,23 @@ from .rng import replica_seed
 class WeightFunction:
     """Degree weight W: {1, 2, ...} -> [1, inf)."""
 
-    kind: str  # linear | power | constant | custom
+    kind: str  # linear | power | constant
     beta: float = 1.0
-    table: object = None  # callable or dict for kind == "custom"
 
     def __call__(self, d: int) -> float:
         if self.kind == "linear":
             return float(d)
         if self.kind == "power":
-            return float(d) ** self.beta
+            try:
+                return float(d) ** self.beta
+            except OverflowError:
+                raise ConditionError(f"power weight {d}^{self.beta:g} overflows") from None
         if self.kind == "constant":
             return 1.0
-        if self.kind == "custom":
-            w = self.table(d) if callable(self.table) else self.table[d]
-            return float(w)
         raise ConditionError(f"unknown weight kind {self.kind!r}")
 
 
 LINEAR_WEIGHT = WeightFunction("linear")
-
-
-def power_weight_range(alpha: float, sigma: float):
-    """Admissible power exponents [1 - alpha*sigma, alpha*sigma]; needs alpha*sigma >= 1/2."""
-    if alpha * sigma < 0.5:
-        raise ConditionError("power weights need alpha * sigma >= 1/2")
-    return 1.0 - alpha * sigma, alpha * sigma
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,14 @@ def check_conditions(graph: GraphView, kernel: KernelSpec,
         for y in graph.neighbors(x):
             p, v = edge_law(kernel, degrees[y], degrees[x])
             s_w += weights[y] * p
-            s_d += p / (v * v)
+            s_d += p / (v * v) if v * v > 0.0 else math.inf
             v_min = min(v_min, v)
         ratio_max = max(ratio_max, s_w / weights[x])
         damp_max = max(damp_max, s_d)
-    if not v_min > 0.0:
-        raise ConditionError("update speed must be bounded away from zero")
     big_k = max(ratio_max, damp_max)
+    if not math.isfinite(big_k):
+        raise ConditionError(f"the condition constant K = max({ratio_max:g}, {damp_max:g}) "
+                             f"is not finite: the weights or p / v^2 leave the float range")
     c0 = min(v_min / 2.0, 1.0)
     # theta(l) = A l^2 + K l - c0 with A = 2K/v_min^2 + 4K
     a = 2.0 * big_k / v_min ** 2 + 4.0 * big_k

@@ -7,6 +7,9 @@ per-child loop sampler that the flat-array one in `cpdg.experiments` replaced;
 the two must return equal records from the same streams. The stable star is
 the per-child sampler that the count chain replaced; the two must agree in
 law. `tv_distance` compares a sample histogram with an exact law.
+`sample_zeta_p` and `sample_mixed_binomial_array` are the per-draw and the
+mixed-binomial samplers of the percolated offspring law, references for the
+vectorized `cpdg.kernels.sample_zeta_p_array`.
 `waitandsee_model` is the exact generator of the wait-and-see process,
 built from its transition rules in the exact oracle's bit encoding.
 """
@@ -50,6 +53,45 @@ def simulate_geometric_sum(alpha, beta, q, n, gen):
     """Geom(q) many Exp(alpha)+Exp(beta) pairs, summed."""
     counts = gen.geometric(q, n)
     return gen.gamma(counts, 1.0 / alpha) + gen.gamma(counts, 1.0 / beta)
+
+
+def sample_zeta_p(pd, rng):
+    """One two-stage draw: offspring count, then Bernoulli thinning per child."""
+    z = pd.base.sample(rng)
+    if z == 0:
+        return 0
+    count = 0
+    for _ in range(z):
+        zi = pd.base.sample(rng)
+        if rng.random() < p_value(pd.kernel, z, max(zi, 1)):
+            count += 1
+    return count
+
+
+def mixed_binomial_success(pd, z):
+    """E[p(z', z)] for an offspring count z, with z' an independent copy."""
+    if z < 1:
+        return 0.0
+    vals = pd.base.values
+    probs = pd.base.pmf
+    ps = p_value_array(pd.kernel, np.full(vals.shape, z), np.maximum(vals, 1))
+    acc = float(np.dot(ps, probs))
+    if pd.base.tail is not None:
+        # analytic-tail children sit beyond the head, where the sigma kernel
+        # is monotone; their total mass (<=1e-6) is bounded by the kernel
+        # value at the head end
+        tail_mass = 1.0 - pd.base.head_mass
+        acc += tail_mass * p_value(pd.kernel, z, int(vals[-1]) + 1)
+    return min(1.0, acc)
+
+
+def sample_mixed_binomial_array(pd, gen, n):
+    """Direct Bin(z, E[p(z', z) | z]) sampler; equal in law to the two-stage one."""
+    z = pd.base.sample_array(gen, n)
+    qs = np.array([mixed_binomial_success(pd, int(k)) for k in np.unique(z)])
+    lut = dict(zip((int(k) for k in np.unique(z)), qs))
+    q = np.array([lut[int(k)] for k in z])
+    return gen.binomial(z, q)
 
 
 def tv_distance(empirical_counts: dict, exact: np.ndarray, n_samples: int) -> float:

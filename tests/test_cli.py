@@ -170,6 +170,7 @@ class TestArtifacts:
 
 
 K2 = {"kind": "finite", "edges": [[0, 1]]}
+STAR3 = {"kind": "finite", "edges": [[0, 1], [0, 2], [0, 3]]}
 SIM = {"graph": K2, "kernel": {"alpha": 0.5}, "lambda": 1.0, "horizon": 1.0, "replicas": 5}
 STAR = {"kernel": {"alpha": 0.2, "sigma": 0.0}, "dist": {"kind": "deterministic", "d": 2},
         "n_values": [20], "degree_bound": 4, "replicas": 5}
@@ -351,6 +352,59 @@ class TestErrorExits:
                                                                 "path": str(path)}})
         assert rc == 2
         assert out.startswith("error: ") and "edges.txt" in out
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "oracle", "check", "star", "path"])
+    def test_update_rate_overflow(self, subcommand):
+        # 3^1000 overflows a float on the 3-star (and 5^1000 on the star centre)
+        kernel = {"alpha": 0.5, "eta": 1000}
+        cfg = {"simulate": {**SIM, "graph": STAR3, "horizon": 2.0, "replicas": 2},
+               "oracle": {"graph": STAR3, "lambda": 1.0, "t": 1.0},
+               "check": {"graph": STAR3},
+               "star": {**STAR, "n_values": [5], "lambda": 0.4},
+               "path": {"r_values": [1], "degree": 3, "lambda": 0.4, "replicas": 2}}[subcommand]
+        rc, out, _ = run_dispatch(subcommand, {**cfg, "kernel": kernel})
+        assert rc == 2
+        assert out.startswith("error: update rate nu * ") and "^1000 = inf lies outside" in out
+
+    def test_update_rate_too_large_refused_at_once(self):
+        # 1e308 * sqrt(3) is a float, but the clock of an edge flipping at that
+        # rate cannot advance: the run used to never finish
+        cfg = {**SIM, "graph": STAR3, "kernel": {"alpha": 0.5, "eta": 0.5, "nu": 1e308},
+               "horizon": 2.0, "replicas": 2}
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the run started instead of refusing the rate")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            rc, out, _ = run_dispatch("simulate", cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 2
+        assert out.startswith("error: update rate nu * 3^eta = 1e+308 * 3^0.5 = 1.73205e+308 ")
+
+    def test_update_rate_underflow_in_check(self):
+        # 3^-1000 is 0: the damping sum p / v^2 divided by zero
+        cfg = {"graph": STAR3, "kernel": {"alpha": 0.5, "eta": -1000}}
+        rc, out, _ = run_dispatch("check", cfg)
+        assert rc == 2
+        assert out.startswith("error: update rate nu * 3^eta = 1 * 3^-1000 = 0 lies outside")
+
+    def test_check_damping_sum_overflow(self):
+        # v = 3^-400 ~ 1e-191 is a normal float, but v * v underflows to 0
+        cfg = {"graph": STAR3, "kernel": {"alpha": 0.5, "eta": -400}}
+        rc, out, _ = run_dispatch("check", cfg)
+        assert rc == 2
+        assert out.startswith("error: the condition constant K = max(") and "not finite" in out
+
+    def test_check_weight_overflow(self):
+        star5 = {"kind": "finite", "edges": [[0, i] for i in range(1, 6)]}
+        cfg = {"graph": star5, "kernel": {"alpha": 0.5}, "weight": {"kind": "power", "beta": 1000}}
+        rc, out, _ = run_dispatch("check", cfg)
+        assert rc == 2
+        assert out == "error: power weight 5^1000 overflows\n"
 
     def test_non_object_config_with_seed(self, tmp_path, capsys):
         path = tmp_path / "list.json"

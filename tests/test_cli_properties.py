@@ -37,8 +37,9 @@ def mostly(usual, rare):
     return st.integers(0, 3).flatmap(lambda i: rare if i == 3 else usual)
 
 
+# eta = +-1000 puts the update rate outside the floats on any degree above 1
 KERNEL = {"sigma": one(0.0, 0.5, 1.0), "kappa": one(0.5, 1.0, 2.0),
-          "eta": one(-0.5, 0.0, 0.5), "nu": one(0.5, 1.0, 2.0)}
+          "eta": one(-0.5, 0.0, 0.5, -1000.0, 1000.0), "nu": one(0.5, 1.0, 2.0)}
 kernels = mostly(block({"alpha": one(0.0, 0.3, 0.5, 1.2)}, KERNEL),
                  block({"alpha": one(0.5), "table": one(MISSING, NOT_A_TABLE)}, KERNEL))
 
@@ -110,7 +111,7 @@ VALID = {
         {"graph": graphs(bgw=False, init=False), "kernel": kernels},
         {**common, "lambda": one(0.05, 1.0),
          "weight": st.one_of(block({"kind": one("linear", "constant")}),
-                             block({"kind": st.just("power")}, {"beta": one(0.5, 2.0)}))}),
+                             block({"kind": st.just("power")}, {"beta": one(0.5, 2.0, 1000.0)}))}),
 }
 
 # keys some subcommands read and others reject

@@ -161,12 +161,6 @@ class TestPathBound:
         spec = KernelSpec(alpha=0.5, sigma=1.0)
         assert cf.path_lower_bound([3, 3, 3], 1e-9, spec).probability < 1e-8
 
-    def test_star_form_reported(self):
-        spec = KernelSpec(alpha=0.5, sigma=0.0)
-        bound = cf.path_lower_bound([5, 3, 3, 5], 0.5, spec, n_star=100, degree_bound=4)
-        assert 0.0 < bound.star_form < bound.probability
-        assert bound.c_p == pytest.approx(4 ** -0.5)
-
     def test_empty_path_rejected(self):
         with pytest.raises(cf.ConditionError):
             cf.path_lower_bound([3], 0.5, KernelSpec(alpha=0.5))
@@ -196,67 +190,31 @@ class TestStarConstants:
         with pytest.raises(cf.ConditionError, match="prune level"):
             cf.star_constants(100, 1, 0.3, KernelSpec(alpha=0.5), deterministic(2))
 
-    def test_c_range_enforced(self):
-        with pytest.raises(cf.ConditionError):
-            cf.star_constants(100, 4, 0.3, KernelSpec(alpha=0.5), deterministic(2), c=0.2)
-
-
-class TestSurvivalDisplays:
-    spec = KernelSpec(alpha=0.3, sigma=0.0, eta=0.2, nu=1.0)
-
-    def test_depletion_limit_small_lambda(self):
-        vals = [cf.survival_functions(10_000, 3, lam, self.spec, deterministic(2), 4).depletion_bound
-                for lam in (1e-2, 1e-4, 1e-6)]
-        assert vals[0] < 1.0
-        assert all(x < y for x, y in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(1.0, abs=1e-4)
-
-    def test_failure_is_one_with_no_tries(self):
-        # tiny lambda gives survival_span < 8r + 4T: zero tries, failure = 1
-        disp = cf.survival_functions(100, 50, 1e-4, self.spec, deterministic(2), 4)
-        assert disp.transmission_failure == 1.0
-
-    def test_depletion_decreases_with_n_fast_updates(self):
-        vals = [cf.survival_functions(n, 3, 0.45, self.spec, deterministic(2), 4).depletion_bound
-                for n in (10**3, 10**4, 10**5)]
-        assert all(x > y for x, y in zip(vals, vals[1:]))
-
-    def test_local_survival_guard(self):
-        with pytest.raises(cf.ConditionError, match="local survival"):
-            cf.survival_functions(100, 3, 5.0, KernelSpec(alpha=0.3, eta=0.0),
-                                  deterministic(2), 4)
+    def test_window_from_speed_law(self):
+        # T = 1 / (1 + v(n, L)) with v = nu n^eta at the star centre
+        kern = KernelSpec(alpha=0.5, eta=0.5, nu=2.0)
+        sc = cf.star_constants(100, 4, 0.3, kern, deterministic(2))
+        assert sc.window == pytest.approx(1.0 / 21.0)
 
     def test_kickstart_flagged(self):
-        disp = cf.survival_functions(100, 3, 1.1, KernelSpec(alpha=0.3, eta=0.0),
-                                     deterministic(2), 4)
-        assert disp.local_ok and not disp.kick_ok
+        # 2 lam T < 1 is the kick-start condition, (3/2) lam T < 1 local survival
+        kern = KernelSpec(alpha=0.3, eta=0.0)
+        sc = cf.star_constants(100, 4, 1.1, kern, deterministic(2))
+        assert sc.local_ok and not sc.kick_ok
+        assert not cf.star_constants(100, 4, 5.0, kern, deterministic(2)).local_ok
 
-
-class TestRelayCondition:
-    def test_relay_depth_hand_value(self):
-        # P(zeta = 10) = 2^-10, mu_L = 2, c = 1 gives depth 8
-        assert cf.relay_depth(2.0, 1.0, 10, 2.0 ** -10) == 8
-
-    def test_depth_short_when_stars_common(self):
-        # c N P(zeta = N) >= mu_L forces depth <= 1
-        assert cf.relay_depth(2.0, 1.0, 10, 0.5) == 1
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(cf.ConditionError, match="cannot target"):
-            cf.r_n_and_star_condition(7, 0.4, KernelSpec(alpha=0.2, sigma=0.0),
-                                      deterministic(2), 4, c_h=1.0)
-
-    def test_condition_easier_with_longer_span(self):
-        # holding r fixed, the feasible side scales linearly with the number
-        # of relay tries, which grows with the survival span
+    def test_survival_windows_grow_with_lambda(self):
+        # k_bar = floor(e^{delta lam^2 T^2 N p / 4}) and S = T k_bar; at N = 12
+        # the exponent is ~1e-5, so both rates give a single window
         kern = KernelSpec(alpha=0.2, sigma=0.0, eta=0.0, nu=1.0)
         dist = geometric(0.5, k0=1)
-        cond_small = cf.r_n_and_star_condition(12, 0.30, kern, dist, 4, c_h=1.0)
-        cond_big = cf.r_n_and_star_condition(12, 0.45, kern, dist, 4, c_h=1.0)
-        assert cond_small.r == cond_big.r
-        sc_small = cf.star_constants(12, 4, 0.30, kern, dist)
-        sc_big = cf.star_constants(12, 4, 0.45, kern, dist)
-        assert sc_big.survival_windows >= sc_small.survival_windows
+        small, big = (cf.star_constants(12, 4, lam, kern, dist) for lam in (0.30, 0.45))
+        assert small.survival_windows == big.survival_windows == 1
+        small, big = (cf.star_constants(10**8, 4, lam, kern, dist) for lam in (0.30, 0.45))
+        assert 1 < small.survival_windows < big.survival_windows
+        expo = big.delta * 0.45 ** 2 * big.window ** 2 * 10**8 * big.p_edge / 4.0
+        assert big.survival_windows == math.floor(math.exp(expo))
+        assert big.survival_span == big.window * big.survival_windows
 
 
 class TestPhaseClassifier:

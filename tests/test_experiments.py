@@ -88,6 +88,39 @@ class TestEstimateSurvival:
         assert est1 == est2
         assert recs1 == recs2
 
+    @pytest.mark.parametrize("threads, replicas, cores, workers", [
+        (100_000, 6, 4, 4),  # bounded by the cores
+        (100_000, 3, 4, 3),  # bounded by the chunks: one replica each
+        (2, 50, 4, 2),       # as asked
+    ])
+    def test_pool_size_bounded(self, monkeypatch, threads, replicas, cores, workers):
+        import multiprocessing
+        sizes = []
+
+        class SerialPool:
+            """Stands in for multiprocessing.Pool without starting processes."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        est, _ = estimate_survival(STAR_SPEC, KernelSpec(alpha=0.3), 1.0, horizon=1.0,
+                                   replicas=replicas, seed=7, threads=threads)
+        assert sizes == [workers]
+        serial, _ = estimate_survival(STAR_SPEC, KernelSpec(alpha=0.3), 1.0, horizon=1.0,
+                                      replicas=replicas, seed=7)
+        assert est == serial
+
     def test_parallel_rejects_unpicklable_kernel(self):
         spec = KernelSpec(alpha=0.0, custom_p=lambda a, b: 0.5)
         with pytest.raises(ExperimentError, match="picklable"):

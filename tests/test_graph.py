@@ -8,7 +8,7 @@ from scipy import stats
 from cpdg import graph
 from cpdg.graph import (DistributionError, GraphError, TreeCaps, TreeCapExceeded,
                         build_finite, deterministic, geometric,
-                        grow_bgw, load_edge_list, power_law, save_edge_list,
+                        grow_bgw, load_edge_list, power_law,
                         stretched_exponential, tabulated)
 
 
@@ -123,24 +123,32 @@ class TestBGW:
         assert abs(draws.mean() - d.mean) < 3 * se
 
     def test_order_independence(self):
-        # expanding vertices in different orders gives the same tree
+        # expanding vertices in different orders gives the same tree; a
+        # vertex is identified by its root path of child indices
         def collect(order_seed):
             g = grow_bgw(geometric(0.4, k0=1), seed=31, caps=TreeCaps(100_000, 30))
             rng = random.Random(order_seed)
+            path = {0: ()}
             frontier = [0]
             seen = {}
+
+            def expand(v):
+                seen[path[v]] = g.offspring_count(v)
+                for i, child in enumerate(g.children(v)):
+                    path[child] = path[v] + (i,)
+                    frontier.append(child)
+
             for _ in range(200):
                 if not frontier:
                     break
-                v = frontier.pop(rng.randrange(len(frontier)))
-                seen[g.path_key(v)] = g.offspring_count(v)
-                frontier.extend(g.children(v))
+                expand(frontier.pop(rng.randrange(len(frontier))))
             # expand everything remaining breadth-first for a full comparison
             while frontier:
                 v = frontier.pop(0)
-                seen[g.path_key(v)] = g.offspring_count(v)
-                if g.offspring_count(v) and g._depth[v] < 6:
-                    frontier.extend(g.children(v))
+                if len(path[v]) < 6:
+                    expand(v)
+                else:
+                    seen[path[v]] = g.offspring_count(v)
             return seen
 
         runs = [collect(s) for s in (1, 2, 3)]
@@ -213,7 +221,8 @@ class TestDumpLoad:
     def test_round_trip(self, tmp_path):
         g = build_finite([(0, 1), (0, 2), (2, 3)])
         path = tmp_path / "g.txt"
-        save_edge_list(g, str(path))
+        path.write_text(f"#vertices {g.n_vertices}\n"
+                        + "".join(f"{u} {v}\n" for u, v in g.edges()))
         h = load_edge_list(str(path))
         assert h.n_vertices == g.n_vertices
         assert h.edges() == g.edges()

@@ -10,10 +10,10 @@ from scipy import stats
 
 from cpdg.graph import deterministic, power_law
 from cpdg.kernels import (KernelError, KernelSpec, PercolatedOffspring, edge_law,
-                          load_kernel_table, p_value,
-                          p_value_array, sample_mixed_binomial_array,
-                          sample_zeta_p, sample_zeta_p_array,
-                          tail_exponent_estimate, v_value)
+                          load_kernel_table, p_value, p_value_array,
+                          sample_zeta_p_array, tail_exponent_estimate, v_value)
+
+from _oracles import sample_mixed_binomial_array, sample_zeta_p
 
 degrees = st.integers(min_value=1, max_value=10**6)
 
@@ -75,6 +75,16 @@ class TestVValue:
         down = KernelSpec(alpha=0.0, eta=-0.7)
         assert v_value(up, 1, 10) <= v_value(up, 1, 20)
         assert v_value(down, 1, 10) >= v_value(down, 1, 20)
+
+    @pytest.mark.parametrize("nu, eta", [(1.0, 1000.0), (1e308, 0.5), (1.0, -1000.0),
+                                         (1.0, -645.0)])
+    def test_rate_outside_normal_floats_rejected(self, nu, eta):
+        # 3^1000 overflows and 3^-1000 underflows to 0; 1e308 * sqrt(3) and
+        # 3^-645 ~ 1e-308 are floats, but their reciprocals are not normal
+        spec = KernelSpec(alpha=0.5, nu=nu, eta=eta)
+        with pytest.raises(KernelError, match="update rate"):
+            v_value(spec, 1, 3)
+        assert v_value(KernelSpec(alpha=0.5, eta=eta), 1, 1) == 1.0  # 1^eta
 
 
 class TestEdgeLaw:

@@ -5,7 +5,7 @@ from cpdg.closedform import ConditionError
 from cpdg.graph import build_finite, grow_bgw, deterministic, TreeCaps
 from cpdg.kernels import KernelSpec
 from cpdg.lyapunov import (LINEAR_WEIGHT, WeightFunction, check_conditions,
-                           f_value, power_weight_range, supermartingale_trace)
+                           f_value, supermartingale_trace)
 
 STAR5 = build_finite([(0, i) for i in range(1, 6)])
 
@@ -56,7 +56,7 @@ class TestCheckConditions:
         assert rep.theta_at(rep.lambda_star * 2) > 0
 
     def test_weight_below_one_rejected(self):
-        bad = WeightFunction("custom", table=lambda d: 0.5)
+        bad = WeightFunction("power", beta=-1.0)  # W(d) = 1/d
         with pytest.raises(ConditionError, match=">= 1"):
             check_conditions(STAR5, KernelSpec(alpha=1.0), bad)
 
@@ -64,13 +64,6 @@ class TestCheckConditions:
         g = grow_bgw(deterministic(2), seed=1, caps=TreeCaps(100, 10))
         with pytest.raises(ConditionError):
             check_conditions(g, KernelSpec(alpha=1.0), LINEAR_WEIGHT)
-
-    def test_power_weight_range(self):
-        lo, hi = power_weight_range(1.2, 0.5)
-        assert lo == pytest.approx(0.4)
-        assert hi == pytest.approx(0.6)
-        with pytest.raises(ConditionError):
-            power_weight_range(0.5, 0.5)
 
 
 class TestFValue:
