@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,21 @@ import pytest
 
 from cpdg import cli, oracle
 from cpdg.cli import ConfigError, dispatch, main, parse_config
+
+
+@contextlib.contextmanager
+def deadline(seconds, message):
+    """Raise TimeoutError(message) in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_dispatch(subcommand, cfg, out_dir=None):
@@ -304,17 +320,8 @@ class TestErrorExits:
         # K2 at nu = 50 uniformizes at rate 52, so t = 1e6 asks for about
         # 5.2e7 products: refused before the first one, not run for an hour
         cfg = {"graph": K2, "kernel": {"alpha": 0.5, "nu": 50.0}, "lambda": 1.0, "t": 1e6}
-
-        def too_slow(signum, frame):
-            raise TimeoutError("the oracle ran instead of refusing the horizon")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(30)
-        try:
+        with deadline(30, "the oracle ran instead of refusing the horizon"):
             rc, out, _ = run_dispatch("oracle", cfg)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert rc == 2
         assert out == ("error: uniformization at t = 1e+06 (mu = 5.2e+07) needs up to "
                        f"52288484 matrix-vector products, over the limit of {oracle.MAX_PRODUCTS}\n")
@@ -371,17 +378,8 @@ class TestErrorExits:
         # rate cannot advance: the run used to never finish
         cfg = {**SIM, "graph": STAR3, "kernel": {"alpha": 0.5, "eta": 0.5, "nu": 1e308},
                "horizon": 2.0, "replicas": 2}
-
-        def too_slow(signum, frame):
-            raise TimeoutError("the run started instead of refusing the rate")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(10)
-        try:
+        with deadline(10, "the run started instead of refusing the rate"):
             rc, out, _ = run_dispatch("simulate", cfg)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert rc == 2
         assert out.startswith("error: update rate nu * 3^eta = 1e+308 * 3^0.5 = 1.73205e+308 ")
 
