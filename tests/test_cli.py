@@ -111,6 +111,18 @@ class TestDispatch:
         assert "n_states=8" in out
         assert "p_extinct=" in out
 
+    def test_oracle_at_2_17_states(self):
+        # the 9-vertex path, 2^(9+8) states: assembly, uniformization and the
+        # absorption solves all run well inside the deadline
+        cfg = {"graph": {"kind": "finite", "edges": [[i, i + 1] for i in range(8)]},
+               "kernel": {"alpha": 0.5}, "lambda": 1.0, "t": 1.0}
+        with deadline(60, "the oracle took over 60 s on 2^17 states"):
+            rc, out, _ = run_dispatch("oracle", cfg)
+        assert rc == 0
+        assert "n_states=131072" in out
+        p_extinct = float(out.split("p_extinct=")[1].split()[0])
+        assert abs(p_extinct - 1.0) < 1e-9
+
     def test_star_stability_subcommand(self):
         cfg = {"kernel": {"alpha": 0.2, "sigma": 0.0},
                "dist": {"kind": "deterministic", "d": 2},

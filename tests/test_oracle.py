@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, spsolve
 
 from cpdg import engine, oracle
 from cpdg.engine import CPDG, Caps, Simulation
@@ -11,8 +11,14 @@ from cpdg.graph import build_finite, grow_bgw, deterministic, TreeCaps
 from cpdg.kernels import KernelSpec
 from cpdg.rng import replica_seed
 
+from _oracles import build_exact_loop
+
 K2 = build_finite([(0, 1)])
 STAR3 = build_finite([(0, 1), (0, 2), (0, 3)])
+PATH4 = build_finite([(0, 1), (1, 2), (2, 3)])
+TRIANGLE = build_finite([(0, 1), (1, 2), (0, 2)])
+PATH6 = build_finite([(i, i + 1) for i in range(5)])
+CYCLE6 = build_finite([(i, (i + 1) % 6) for i in range(6)])
 SPEC = KernelSpec(alpha=0.5, sigma=1.0, kappa=1.0, eta=0.0, nu=1.0)
 
 
@@ -43,6 +49,23 @@ class TestBuildExact:
         g = grow_bgw(deterministic(2), seed=1, caps=TreeCaps(100, 10))
         with pytest.raises(oracle.StateCapExceeded):
             oracle.build_exact(g, SPEC, 1.0)
+
+    # lam = 0 drops every infection, alpha = 0 opens every edge for good
+    # (close rate 0) and a zero custom p never opens one (open rate 0)
+    @pytest.mark.parametrize("graph", [K2, STAR3, PATH4, TRIANGLE, CYCLE6],
+                             ids=["K2", "3-star", "4-path", "triangle", "cycle-6"])
+    @pytest.mark.parametrize("spec,lam", [
+        (SPEC, 1.3), (SPEC, 0.0), (KernelSpec(alpha=0.0), 0.7),
+        (KernelSpec(alpha=0.5, nu=2.5, custom_p=lambda dx, dy: 0.0 if dx == dy else 0.4), 1.1),
+    ], ids=["lam1.3", "lam0", "p1", "p0"])
+    def test_matches_loop_assembly(self, graph, spec, lam):
+        model = oracle.build_exact(graph, spec, lam)
+        ref = build_exact_loop(graph, spec, lam)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(model.generator, name), getattr(ref.generator, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert model.uniformization_rate == ref.uniformization_rate
 
 
 class TestTransient:
@@ -139,3 +162,36 @@ class TestExtinctionStats:
             times[i] = rec.time
         se = times.std() / math.sqrt(n)
         assert abs(times.mean() - st.mean_time) < 3 * se
+
+    @pytest.mark.parametrize("graph", [PATH6, CYCLE6], ids=["path-6", "cycle-6"])
+    def test_krylov_matches_direct(self, graph, monkeypatch):
+        for lam in (0.75, 1.25, 4.0, 8.0):
+            model = oracle.build_exact(graph, SPEC, lam)
+            init = oracle.initial_distribution(model, [0])
+            krylov = oracle.extinction_stats(model, init)
+            assert krylov.n_transient_reachable > oracle.DIRECT_MAX
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "DIRECT_MAX", model.n_states)
+                direct = oracle.extinction_stats(model, init)
+            assert krylov.mean_time == pytest.approx(direct.mean_time, rel=1e-9, abs=0.0)
+            assert krylov.p_extinct == pytest.approx(direct.p_extinct, rel=1e-9, abs=0.0)
+
+    def test_failed_krylov_falls_back_to_direct(self, monkeypatch):
+        # every Krylov pass returns 1.1 times the exact step, so each pass cuts
+        # the true residual only tenfold and none reaches the gate: the LU
+        # answer must come back, not the last Krylov one
+        model = oracle.build_exact(STAR3, SPEC, 1.25)
+        init = oracle.initial_distribution(model, [0])
+        direct = oracle.extinction_stats(model, init)
+        calls = []
+
+        def off_by_a_tenth(a, b, **kwargs):
+            calls.append(b.size)
+            return 1.1 * spsolve(a.tocsc(), b), 0
+
+        monkeypatch.setattr(oracle, "DIRECT_MAX", 0)
+        monkeypatch.setattr(oracle, "bicgstab", off_by_a_tenth)
+        st = oracle.extinction_stats(model, init)
+        # both right-hand sides, every pass
+        assert calls == [st.n_transient_reachable] * (2 * oracle.KRYLOV_PASSES)
+        assert (st.mean_time, st.p_extinct) == (direct.mean_time, direct.p_extinct)
